@@ -5,7 +5,9 @@
  * BatchEngine batch — serial (SerialGuard) vs pooled, plus an MPApca
  * decomposed multiplication (so a CAMP_TRACE run contains spans from
  * the mpn, sim, and mpapca layers), checks results are bit-identical,
- * and records machine-readable numbers in BENCH_perf_smoke.json.
+ * and records machine-readable numbers in BENCH_perf_smoke.json. The
+ * mpn_div_2n_1n row hard-asserts that a 2n-by-n division costs at most
+ * 8 same-size multiplies.
  * Speedup tracks the host: on a single-core runner the pooled path is
  * expected near 1.0x and the JSON row is the honest record of that.
  *
@@ -28,6 +30,8 @@
 #include "exec/cpu_device.hpp"
 #include "exec/wave.hpp"
 #include "mpapca/runtime.hpp"
+#include "mpn/div.hpp"
+#include "mpn/mul.hpp"
 #include "mpn/view.hpp"
 #include "mpn/kernels/kernels.hpp"
 #include "mpn/kernels/soa.hpp"
@@ -83,6 +87,40 @@ main()
         json.add("mpn_mul_serial", mul_bits, 1, mul_serial_s, bytes);
         json.add("mpn_mul_pooled", mul_bits, threads, pooled_s, bytes,
                  {{"speedup", mul_serial_s / pooled_s}});
+    }
+
+    section("mpn 2n-by-n division vs same-size multiply");
+    {
+        // The 1M-digit pi division shape. Burnikel–Ziegler costs
+        // O(M(n) log n) only when every recursion level halves evenly;
+        // an odd half above the threshold falls to schoolbook and the
+        // ratio climbs past 20. Both sides run serially, adjacently.
+        const std::size_t n = 26796;
+        std::vector<camp::mpn::Limb> a(2 * n), d(n), q(n + 1), r(n),
+            prod(2 * n);
+        for (auto& limb : a)
+            limb = rng.next();
+        for (auto& limb : d)
+            limb = rng.next();
+        d[n - 1] |= 1;
+        camp::support::SerialGuard guard;
+        const double mul_s = time_call(
+            [&] {
+                camp::mpn::mul(prod.data(), a.data(), n, d.data(), n);
+            },
+            opts);
+        const double div_s = time_call(
+            [&] {
+                camp::mpn::divrem(q.data(), r.data(), a.data(), 2 * n,
+                                  d.data(), n);
+            },
+            opts);
+        const double div_over_mul = div_s / mul_s;
+        std::printf("2n-by-n division at n=%zu limbs: %.2fx a multiply\n",
+                    n, div_over_mul);
+        CAMP_ASSERT(div_over_mul <= 8.0);
+        json.add("mpn_div_2n_1n", n * 64, 1, div_s, 3.0 * n * 8.0,
+                 {{"div_over_mul", div_over_mul}});
     }
 
     section("sim batch multiply, serial vs pooled");

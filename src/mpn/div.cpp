@@ -1,5 +1,6 @@
 #include "mpn/div.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "mpn/basic.hpp"
@@ -50,25 +51,16 @@ knuth_core(Limb* qp, Limb* up, std::size_t un, const Limb* dp,
         const Limb u2 = up[j + dn];
         const Limb u1 = up[j + dn - 1];
         const Limb u0 = up[j + dn - 2];
-        Limb qhat, rhat;
-        {
-            const u128 num = (static_cast<u128>(u2) << 64) | u1;
-            if (u2 >= d1) { // only u2 == d1 possible by the invariant
-                qhat = kLimbMax;
-            } else {
-                qhat = static_cast<Limb>(num / d1);
-            }
-            u128 r = num - static_cast<u128>(qhat) * d1;
-            // Refine with the second divisor limb (at most 2 steps once
-            // r fits a limb; loop is bounded regardless).
-            while (r <= kLimbMax &&
-                   static_cast<u128>(qhat) * d0 >
-                       ((r << 64) | u0)) {
-                --qhat;
-                r += d1;
-            }
-            rhat = static_cast<Limb>(r);
-            (void)rhat;
+        const u128 num = (static_cast<u128>(u2) << 64) | u1;
+        // Only u2 == d1 is possible in the first case, by the invariant.
+        Limb qhat = u2 >= d1 ? kLimbMax : static_cast<Limb>(num / d1);
+        u128 r = num - static_cast<u128>(qhat) * d1;
+        // Refine with the second divisor limb (at most 2 steps once r
+        // fits a limb; loop is bounded regardless).
+        while (r <= kLimbMax &&
+               static_cast<u128>(qhat) * d0 > ((r << 64) | u0)) {
+            --qhat;
+            r += d1;
         }
         // up[j .. j+dn] -= qhat * d.
         const Limb borrow = submul_1(up + j, dp, dn, qhat);
@@ -167,13 +159,17 @@ void
 div_2n_1n(Limb* qp, Limb* ap, std::size_t n, const Limb* dp)
 {
     CAMP_ASSERT(cmp_n(ap + n, dp, n) < 0);
-    if ((n & 1) != 0 || n <= div_tuning().bz) {
+    if (n <= div_tuning().bz) {
         std::vector<Limb> q(n + 1);
         knuth_inplace(q.data(), ap, 2 * n, dp, n);
         CAMP_ASSERT(q[n] == 0);
         copy(qp, q.data(), n);
         return;
     }
+    // divrem pads the divisor to j * 2^k with j <= bz, so every level
+    // above the threshold halves evenly; an odd n here would mean a
+    // quadratic schoolbook fallback far above the threshold.
+    CAMP_ASSERT((n & 1) == 0);
     const std::size_t h = n / 2;
     // High 3h limbs first, then the low window including the remainder.
     div_3n_2n(qp + h, ap + h, n, dp);
@@ -193,93 +189,61 @@ divrem(Limb* qp, Limb* rp, const Limb* ap, std::size_t an,
         return;
     }
 
-    // Bit-normalize so the divisor's top bit is set.
+    // Burnikel–Ziegler block size (Burnikel & Ziegler, "Fast Recursive
+    // Division", 1998): DN = j * 2^k with j <= bz, so the recursion
+    // halves evenly down to Knuth-D leaves. The divisor and dividend get
+    // pad = DN - dn low zero limbs (under 2/bz of the divisor); dn <= bz
+    // means k = 0, no padding, and plain Knuth-D.
+    const std::size_t bz = div_tuning().bz;
+    CAMP_ASSERT(bz >= 2);
+    std::size_t j = dn, k = 0;
+    for (; j > bz; ++k)
+        j = (j + 1) / 2;
+    const std::size_t DN = j << k, pad = DN - dn;
+
+    // Bit-normalize so the divisor's top bit is set; both operands sit
+    // at limb offset pad. A has a spare top limb for the dividend's
+    // shifted-out bits plus room for one all-zero block above it.
     const unsigned s =
         static_cast<unsigned>(64 - camp::bit_length(dp[dn - 1]));
-    std::vector<Limb> d2(dn);
-    if (s == 0)
-        copy(d2.data(), dp, dn);
-    else
-        lshift(d2.data(), dp, dn, s);
-    std::vector<Limb> u2(an + 1);
+    std::vector<Limb> d(DN, 0);
+    std::size_t UN = pad + an + 1;
+    std::vector<Limb> A(((UN + DN - 1) / DN + 1) * DN, 0);
     if (s == 0) {
-        copy(u2.data(), ap, an);
-        u2[an] = 0;
+        copy(d.data() + pad, dp, dn);
+        copy(A.data() + pad, ap, an);
     } else {
-        u2[an] = lshift(u2.data(), ap, an, s);
+        lshift(d.data() + pad, dp, dn, s);
+        A[UN - 1] = lshift(A.data() + pad, ap, an, s);
     }
-    std::size_t un = an + (u2[an] != 0 ? 1 : 0);
+
+    UN = std::max(normalized_size(A.data(), UN), dn);
+    std::vector<Limb> Q;
+    if (k == 0) {
+        Q.resize(UN - dn + 1);
+        knuth_core(Q.data(), A.data(), UN, d.data(), dn);
+    } else {
+        // Chunk over DN-limb quotient blocks. The dividend's top block
+        // is the first partial remainder when it is already below d.
+        const std::size_t top = (UN - 1) / DN;
+        const std::size_t blocks =
+            top + (cmp_n(A.data() + top * DN, d.data(), DN) < 0 ? 0 : 1);
+        Q.resize(blocks * DN);
+        for (std::size_t b = blocks; b-- > 0;)
+            div_2n_1n(Q.data() + b * DN, A.data() + b * DN, DN, d.data());
+    }
+
+    // Q can be wider or narrower than the caller-visible quotient width.
     const std::size_t qn = an - dn + 1;
-
-    if (dn <= div_tuning().bz) {
-        std::vector<Limb> q(un - dn + 1 + 1, 0);
-        u2.push_back(0);
-        knuth_core(q.data(), u2.data(), un, d2.data(), dn);
-        CAMP_ASSERT(normalized_size(q.data() + qn, q.size() - qn) == 0);
-        copy(qp, q.data(), qn);
-        if (s == 0)
-            copy(rp, u2.data(), dn);
-        else
-            rshift(rp, u2.data(), dn, s);
-        return;
-    }
-
-    // Burnikel–Ziegler, chunked over dn-limb quotient blocks. Scale by
-    // one limb when dn is odd so the recursion splits evenly.
-    const bool scaled = (dn & 1) != 0;
-    const std::size_t DN = dn + (scaled ? 1 : 0);
-    std::vector<Limb> d3(DN);
-    if (scaled) {
-        d3[0] = 0;
-        copy(d3.data() + 1, d2.data(), dn);
-    } else {
-        copy(d3.data(), d2.data(), dn);
-    }
-    std::size_t UN = (scaled ? 1 : 0) + un;
-    std::vector<Limb> u3(UN);
-    if (scaled) {
-        u3[0] = 0;
-        copy(u3.data() + 1, u2.data(), un);
-    } else {
-        copy(u3.data(), u2.data(), un);
-    }
-    UN = normalized_size(u3.data(), UN);
-
-    if (UN < DN || (UN == DN && cmp_n(u3.data(), d3.data(), DN) < 0)) {
-        // Quotient is zero; remainder is the (scaled) dividend.
-        zero(qp, qn);
-        std::vector<Limb> r3(DN, 0);
-        copy(r3.data(), u3.data(), UN);
-        const Limb* r2 = r3.data() + (scaled ? 1 : 0);
-        CAMP_ASSERT(!scaled || r3[0] == 0);
-        if (s == 0)
-            copy(rp, r2, dn);
-        else
-            rshift(rp, r2, dn, s);
-        return;
-    }
-
-    const std::size_t qn3 = UN - DN + 1;
-    const std::size_t blocks = (qn3 + DN - 1) / DN;
-    std::vector<Limb> A(blocks * DN + DN, 0);
-    copy(A.data(), u3.data(), UN);
-    std::vector<Limb> Q(blocks * DN, 0);
-    for (std::size_t b = blocks; b-- > 0;)
-        div_2n_1n(Q.data() + b * DN, A.data() + b * DN, DN, d3.data());
-
-    // Q holds qn3 meaningful limbs; the caller-visible quotient width qn
-    // can be larger (unnormalized dividend) or smaller (scaling).
     const std::size_t have = std::min(qn, Q.size());
     copy(qp, Q.data(), have);
     zero(qp + have, qn - have);
-    if (Q.size() > qn)
-        CAMP_ASSERT(normalized_size(Q.data() + qn, Q.size() - qn) == 0);
-    const Limb* r2 = A.data() + (scaled ? 1 : 0);
-    CAMP_ASSERT(!scaled || A[0] == 0);
+    CAMP_ASSERT(normalized_size(Q.data() + have, Q.size() - have) == 0);
+    CAMP_ASSERT(normalized_size(A.data(), pad) == 0);
     if (s == 0)
-        copy(rp, r2, dn);
+        copy(rp, A.data() + pad, dn);
     else
-        rshift(rp, r2, dn, s);
+        rshift(rp, A.data() + pad, dn, s);
 }
 
 } // namespace camp::mpn

@@ -2,7 +2,9 @@
  * @file
  * Division kernels: single-limb division, schoolbook (Knuth Algorithm D),
  * and recursive Burnikel–Ziegler division — Table I's "Division:
- * Schoolbook O(n^2) / Karatsuba O(n^m log n)" operators.
+ * Schoolbook O(n^2) / recursive O(M(n) log n)" operators. The recursive
+ * cost holds because divrem pads the divisor to a j * 2^k block
+ * (j <= DivTuning::bz) that halves evenly down to Knuth-D leaves.
  */
 #ifndef CAMP_MPN_DIV_HPP
 #define CAMP_MPN_DIV_HPP

@@ -260,6 +260,60 @@ TEST(MpnDiv, DifferentialFuzzKnuthVsBurnikelZiegler)
     }
 }
 
+TEST(MpnDiv, BurnikelZieglerPaddedShapesMatchKnuth)
+{
+    // Differential fuzz (>= 1000 cases) at the default threshold, over
+    // the divisor sizes whose old one-limb padding let the recursion
+    // reach an odd half above the threshold (which then ran quadratic
+    // schoolbook), sizes whose j * 2^k padding is >= 2 limbs, and random
+    // sizes in [49, 1600]. Each result must match pure Knuth-D limb for
+    // limb and satisfy q*d + r == a with r < d.
+    const std::uint64_t seed = fuzz_seed(0xb2f0addull);
+    camp::Rng rng(seed);
+    auto& tuning = mpn::div_tuning();
+    const std::size_t bz = tuning.bz;
+    ASSERT_EQ(bz, 48u);
+    const std::size_t cliff[] = {49 * 2, 51 * 4, 97 * 2, 101 * 8,
+                                 97,     193,    385,    1537};
+    int padded = 0;
+    for (int iter = 0; iter < 1000; ++iter) {
+        SCOPED_TRACE("iter=" + std::to_string(iter) +
+                     " seed=" + std::to_string(seed) +
+                     " (replay: CAMP_FUZZ_SEED=<seed>)");
+        // 6699 * 2 is the 1M-digit pi cliff; a few cases keep the
+        // Knuth-D reference affordable.
+        std::size_t dn = iter % 2 == 0 ? 49 + rng.below(1552)
+                                       : cliff[rng.below(8)];
+        if (iter % 500 == 0)
+            dn = 6699 * 2;
+        const std::size_t an =
+            dn + rng.below(dn > 1600 ? dn + 1 : 3 * dn + 1);
+        auto a = random_limbs(rng, an);
+        auto d = random_limbs(rng, dn, true);
+        if (iter % 7 == 0)
+            std::fill(a.begin(), a.end(), mpn::kLimbMax);
+        if (iter % 11 == 0) {
+            std::fill(d.begin(), d.end(), Limb{0});
+            d[dn - 1] = 1 + rng.below(2);
+        }
+        std::size_t j = dn, k = 0;
+        for (; j > bz; ++k)
+            j = (j + 1) / 2;
+        padded += (j << k) - dn >= 2;
+
+        std::vector<Limb> q_bz(an - dn + 1), r_bz(dn);
+        std::vector<Limb> q_kn(an - dn + 1), r_kn(dn);
+        mpn::divrem(q_bz.data(), r_bz.data(), a.data(), an, d.data(), dn);
+        tuning.bz = 1u << 30; // pure Knuth-D
+        mpn::divrem(q_kn.data(), r_kn.data(), a.data(), an, d.data(), dn);
+        tuning.bz = bz;
+        ASSERT_EQ(q_bz, q_kn);
+        ASSERT_EQ(r_bz, r_kn);
+        check_divrem(a, d);
+    }
+    EXPECT_GE(padded, 250);
+}
+
 TEST(MpnDiv, NewtonMatchesKnuthDifferential)
 {
     // Regression suite for divrem_newton's degenerate shapes (a < d,
