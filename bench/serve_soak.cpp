@@ -13,9 +13,10 @@
  *    inline on the virtual ledger and the run replays bit-exactly
  *    under CAMP_FUZZ_SEED.
  *  - Wall (`--wall` or CAMP_SERVE_WALL=1): sustained wall-clock
- *    serving with CAMP_SERVE_INFLIGHT (default 4) overlapping waves on
- *    worker threads and per-request wall-vs-virtual skew reconciled in
- *    the report. Timing-dependent *observations* (skew, breaker
+ *    serving with up to CAMP_SERVE_INFLIGHT (default 4) overlapping
+ *    waves — a wave the engine would join before returning runs
+ *    inline, only a wave that outlives the pump gets a worker thread —
+ *    and per-request wall-vs-virtual skew reconciled in the report. Timing-dependent *observations* (skew, breaker
  *    episode boundaries) may vary run to run, so the default-seed
  *    shape checks and the p99 bound are skipped — but conservation,
  *    zero-wrong-results, and the exact ledger fold stay hard asserts:

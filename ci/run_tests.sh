@@ -20,8 +20,13 @@
 #     bench/serve_soak with fault injection armed, which self-checks
 #     zero wrong results, conservation, bounded p99, and exact ledger
 #     accounting before the perf gate even runs — plus an ungated
-#     short `serve_soak --wall` leg (overlapping in-flight waves on
-#     real threads; hard correctness asserts, no latency gates);
+#     short `serve_soak --wall` leg (hard correctness asserts, no
+#     latency gates; in wall mode a wave the engine would join before
+#     returning runs inline, and only a wave that outlives the pump
+#     overlaps on a worker thread), plus an ungated end-to-end serving
+#     smoke: bench/e2e's camp_bench on serve-small (cpu) and
+#     serve-large (4-shard cpu), digest-checking every served product,
+#     run with every CAMP_* variable stripped under `timeout 600`;
 #  3. address+undefined-sanitizer build + ctest — this includes
 #     test_simd_kernels, so the vector kernels' scratch/tail handling
 #     runs under ASan/UBSan every CI pass — followed by a dedicated
@@ -159,6 +164,26 @@ if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then
         CAMP_SERVE_INFLIGHT=4 \
         CAMP_BENCH_DIR=build \
         ./build/bench/serve_soak --wall
+
+    # End-to-end serving smoke: camp_bench (bench/e2e) runs both serve
+    # workloads briefly — wall-mode serving over cpu, then over a
+    # 4-shard cpu ShardedScheduler, at realistic operand sizes — and
+    # digest-checks every served product against a serial mpn
+    # reference, exiting nonzero on any wrong result. Ungated (no
+    # baseline; wall timings are host noise). camp_bench refuses any
+    # CAMP_* variable, this script's own CAMP_CI_* switches included,
+    # so the leg runs with all of them stripped; the timeout turns a
+    # wave-nesting deadlock into a failure instead of a hang.
+    echo "==== e2e serving smoke (camp_bench serve-small, serve-large) ===="
+    e2e_env=(env)
+    for var in $(compgen -e | grep '^CAMP_' || true); do
+        e2e_env+=(-u "${var}")
+    done
+    for workload in serve-small serve-large; do
+        "${e2e_env[@]}" timeout 600 python3 bench/e2e/run.py \
+            --workload "${workload}" --seconds 2 --trace 0 \
+            --out build/e2e-smoke
+    done
 
     # Operand-cache bench: the binary itself hard-fails unless the
     # repeated-operand pi-regrow walk wins >= 2x with the cache on

@@ -69,9 +69,11 @@ main()
                 report.conserved() ? "yes" : "NO");
 
     // --- 4. The async edge, on the wall clock ------------------------
-    // Same decisions, real execution: waves overlap on worker threads,
-    // handles settle with callbacks, and the settled set matches the
-    // virtual run above outcome for outcome.
+    // Same decisions, real execution: a wave the engine would join
+    // before returning runs inline, only a wave that outlives the pump
+    // overlaps on a worker thread; handles settle with callbacks, and
+    // the settled set matches the virtual run above outcome for
+    // outcome.
     camp::sim::SimConfig clean_config = camp::sim::default_config();
     camp::exec::SimDevice oracle_device(clean_config);
     serve::Server oracle(config, oracle_device);

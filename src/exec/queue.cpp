@@ -205,6 +205,8 @@ SubmitQueue::run_flush(Ticket ticket)
         }
     }
 
+    // Per-wave metrics register once (support/metrics.hpp contract).
+    namespace metrics = support::metrics;
     std::unique_lock<std::mutex> lock(state_->mutex);
     QueueStats& stats = state_->stats;
     if (error != ErrorCode::Ok) {
@@ -214,8 +216,9 @@ SubmitQueue::run_flush(Ticket ticket)
             slot->ready = true;
         }
         stats.failed += slots.size();
-        support::metrics::counter("exec.queue.failed")
-            .add(slots.size());
+        static metrics::Counter& failed =
+            metrics::counter("exec.queue.failed");
+        failed.add(slots.size());
     } else {
         CAMP_ASSERT(result.per_product.size() == slots.size());
         for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -232,14 +235,18 @@ SubmitQueue::run_flush(Ticket ticket)
         stats.sim_tasks += result.tasks;
         stats.injected += result.injected;
         stats.faulty += result.faulty;
-        namespace metrics = support::metrics;
-        metrics::counter("exec.queue.coalesced").add(slots.size());
-        metrics::gauge("exec.queue.batch_max")
-            .update_max(static_cast<std::int64_t>(slots.size()));
+        static metrics::Counter& coalesced =
+            metrics::counter("exec.queue.coalesced");
+        static metrics::Gauge& batch_max =
+            metrics::gauge("exec.queue.batch_max");
+        coalesced.add(slots.size());
+        batch_max.update_max(static_cast<std::int64_t>(slots.size()));
     }
     const std::size_t count = slots.size();
     ++stats.flushes;
-    support::metrics::counter("exec.queue.flushes").add();
+    static metrics::Counter& flushes =
+        metrics::counter("exec.queue.flushes");
+    flushes.add();
     wave.reset();
     slots.clear();
     state_->free_buffers.push_back(ticket.buffer_);

@@ -87,10 +87,12 @@ struct ServeConfig
      * delivered and only counted. */
     bool retry_on_faulty = true;
 
-    /** Execute waves asynchronously against a WallClock (worker
-     * thread per in-flight wave, wall timestamps reconciled per
-     * request) instead of inline against the VirtualClock. Decisions
-     * are identical either way — the differential-oracle contract. */
+    /** Execute waves against a WallClock (wall timestamps
+     * reconciled per request) instead of the VirtualClock. A wave the
+     * engine would join before returning runs inline; only a wave that
+     * outlives the pump gets a worker thread, overlapping the client.
+     * Decisions are identical either way — the differential-oracle
+     * contract. */
     bool wall_clock = false;
 
     /** Consult a per-server operand-digest product cache at dispatch

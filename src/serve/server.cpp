@@ -296,9 +296,9 @@ class Engine
     struct WaveInFlight
     {
         std::vector<Entry> entries;
-        std::vector<ExecResult> results; ///< virtual mode: at dispatch
-        std::vector<exec::SubmitQueue::Future> futures; ///< wall mode
-        std::thread worker; ///< wall mode: runs the claimed flush
+        std::vector<ExecResult> results; ///< inline waves: at dispatch
+        std::vector<exec::SubmitQueue::Future> futures;
+        std::thread worker; ///< a wall wave outliving its pump
         double completion_us = 0.0;
         std::uint64_t injected = 0;
     };
@@ -592,8 +592,12 @@ class Engine
         return false;
     }
 
+    /** Form and launch one wave at vnow_. @p target is the running
+     * pump's horizon: a wall-mode wave whose modelled completion lies
+     * at or before it is joined inside this pump anyway, so it runs
+     * inline; only a wave that outlives the pump gets a worker. */
     void
-    dispatch()
+    dispatch(double target)
     {
         // Select up to wave_size dispatchable entries in key order.
         std::vector<std::size_t> picked;
@@ -686,15 +690,24 @@ class Engine
             if (!entry.from_cache)
                 wave.futures.push_back(
                     queue_.submit(entry.req->a, entry.req->b));
+        // Pipelined service: the device starts this wave when it
+        // finishes the previous one (in-order pipeline); with
+        // max_inflight_waves == 1 this is exactly vnow + cost.
+        wave.completion_us = std::max(vnow_, device_free_us_) +
+                             std::max(1.0, wave_cost);
         if (wave.futures.empty()) {
             // Every entry hit the cache: nothing to flush, and the
             // results can be materialized immediately in either mode.
             harvest(wave);
-        } else if (config_.wall_clock) {
-            // Wall mode: claim the wave (ring backpressure can never
-            // bite here — the engine bounds in-flight waves to the
-            // ring depth) and execute it on its own worker; results
-            // are harvested at the wave's virtual completion event.
+        } else if (config_.wall_clock && wave.completion_us > target) {
+            // Wall mode, and the wave outlives this pump: claim it
+            // (ring backpressure can never bite here — the engine
+            // bounds in-flight waves to the ring depth) and execute it
+            // on its own worker, overlapping the client; results are
+            // harvested at the wave's virtual completion event.
+            static metrics::Counter& async_waves =
+                metrics::counter("serve.waves.async");
+            async_waves.add();
             exec::SubmitQueue::Ticket ticket = queue_.begin_flush();
             CAMP_ASSERT(ticket.valid());
             wave.worker = std::thread(
@@ -702,19 +715,17 @@ class Engine
                     queue_.run_flush(std::move(t));
                 });
         } else {
-            // Virtual mode: the flush runs inline; harvest now and
-            // hold the results until the completion event.
+            // Virtual mode, or a wall wave this pump reaches the
+            // completion of (and would join before returning): the
+            // flush runs inline; harvest now and hold the results
+            // until the completion event.
             queue_.flush();
             harvest(wave);
         }
-        // Pipelined service: the device starts this wave when it
-        // finishes the previous one (in-order pipeline); with
-        // max_inflight_waves == 1 this is exactly vnow + cost.
-        wave.completion_us = std::max(vnow_, device_free_us_) +
-                             std::max(1.0, wave_cost);
         device_free_us_ = wave.completion_us;
         ++report_.waves;
-        metrics::counter("serve.waves").add();
+        static metrics::Counter& waves = metrics::counter("serve.waves");
+        waves.add();
         inflight_.push_back(std::move(wave));
     }
 
@@ -759,9 +770,9 @@ class Engine
         WaveInFlight wave = std::move(inflight_.front());
         inflight_.pop_front();
         if (wave.worker.joinable()) {
-            // Wall mode: the join is the synchronization edge — after
-            // it, every future of this wave is ready and error() /
-            // take() below cannot block.
+            // A wall wave that outlived its pump: the join is the
+            // synchronization edge — after it, every future of this
+            // wave is ready and error() / take() below cannot block.
             wave.worker.join();
             harvest(wave);
         }
@@ -831,7 +842,7 @@ class Engine
     {
         for (;;) {
             if (vnow_ < target && dispatchable()) {
-                dispatch();
+                dispatch(target);
                 continue;
             }
             double t_next = kInfinity;

@@ -21,8 +21,9 @@
  *
  *  - Virtual (default): waves execute inline at dispatch; the
  *    support::VirtualClock is the ledger itself. This is the oracle.
- *  - Wall (ServeConfig::wall_clock): waves execute asynchronously on
- *    worker threads through the SubmitQueue wave ring, up to
+ *  - Wall (ServeConfig::wall_clock): a wave the engine would join
+ *    before returning runs inline; only a wave that outlives the pump
+ *    gets a worker thread, through the SubmitQueue wave ring, up to
  *    max_inflight_waves overlapping; a support::WallClock stamps every
  *    settlement so the report carries the per-request wall-vs-virtual
  *    skew. Decisions still run on the virtual ledger, so a wall run

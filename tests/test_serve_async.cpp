@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/cpu_device.hpp"
 #include "exec/queue.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
@@ -33,6 +34,7 @@
 #include "support/clock.hpp"
 #include "support/errors.hpp"
 #include "support/fault.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace exec = camp::exec;
@@ -126,6 +128,30 @@ differential_workload(std::uint64_t seed)
     spec.deadline_slack_us = 60;
     return serve::generate_workload(spec);
 }
+
+/** The differential matrix's workload seed. */
+constexpr std::uint64_t kMatrixSeed = 0xd1ff5e47e;
+
+/** The serve-large shape at test size: 16k-64k-bit operands (tens of
+ * modelled microseconds each on the cpu backend, large enough that
+ * the products fork on the global pool), overloaded like
+ * differential_workload. Pair with large_operand_backlog_us. */
+std::vector<serve::Request>
+large_operand_workload(std::uint64_t seed)
+{
+    serve::WorkloadSpec spec;
+    spec.seed = seed;
+    spec.requests = 96;
+    spec.mean_interarrival_us = 20;
+    spec.min_bits = 16384;
+    spec.max_bits = 65536;
+    spec.deadline_fraction = 0.2;
+    spec.deadline_slack_us = 600;
+    return serve::generate_workload(spec);
+}
+
+/** differential_config's backlog cap scaled to the large products. */
+constexpr double large_operand_backlog_us = 1000.0;
 
 } // namespace
 
@@ -231,32 +257,59 @@ TEST(SubmitQueueRing, ClassicFlushStillDrainsEverything)
 
 TEST(ServeDifferential, WallRunSettlesTheVirtualOracleSet)
 {
-    // The acceptance matrix: shards {1,4} x inflight {1,4}, fault-free
-    // (timing-dependent breaker episodes need armed faults AND overlap
-    // to diverge; fault-free, the decision ledger is the whole story).
-    const std::vector<serve::Request> workload =
-        differential_workload(fuzz_seed(0xd1ff5e47e));
-    for (const unsigned shards : {1u, 4u}) {
+    // The acceptance matrix: sim shards {1,4} x inflight {1,4},
+    // fault-free (timing-dependent breaker episodes need armed faults
+    // AND overlap to diverge; fault-free, the decision ledger is the
+    // whole story). The third device input is the serve-large shape:
+    // 4 cpu shards admitting one wave at a time (below serve's
+    // inflight 4) with products that fork on the global pool, so wave
+    // workers, inline waves, scheduler wave slots and pool tasks all
+    // nest — the combination a wave-on-the-pool design deadlocks on.
+    struct DeviceInput
+    {
+        const char* label;
+        unsigned shards;
+        std::vector<std::string> backends;
+        unsigned shard_inflight;
+        std::vector<serve::Request> workload;
+        double backlog_us; ///< 0 = differential_config's cap
+    };
+    const std::vector<serve::Request> small =
+        differential_workload(fuzz_seed(kMatrixSeed));
+    const DeviceInput inputs[] = {
+        {"sim x1", 1, {}, 2, small, 0.0},
+        {"sim x4", 4, {}, 2, small, 0.0},
+        {"cpu x4, shard inflight 1", 4, {"cpu"}, 1,
+         large_operand_workload(fuzz_seed(0x1a26e)),
+         large_operand_backlog_us},
+    };
+    for (const DeviceInput& input : inputs) {
         for (const unsigned inflight : {1u, 4u}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards) +
+            SCOPED_TRACE(std::string(input.label) +
                          " inflight=" + std::to_string(inflight));
+            const std::vector<serve::Request>& workload =
+                input.workload;
             exec::ShardPolicy shard_policy;
-            shard_policy.shards = shards;
+            shard_policy.shards = input.shards;
+            shard_policy.backends = input.backends;
+            shard_policy.max_inflight_waves = input.shard_inflight;
             shard_policy.drain_fault_threshold = 0;
+            serve::ServeConfig oracle_config =
+                differential_config(inflight, /*wall=*/false);
+            if (input.backlog_us != 0.0)
+                oracle_config.max_backlog_us = input.backlog_us;
+            serve::ServeConfig wall_config = oracle_config;
+            wall_config.wall_clock = true;
 
             exec::ShardedScheduler oracle_device(
                 sim::default_config(), shard_policy);
-            serve::Server oracle_server(
-                differential_config(inflight, /*wall=*/false),
-                oracle_device);
+            serve::Server oracle_server(oracle_config, oracle_device);
             const serve::ServeReport oracle =
                 oracle_server.process(workload);
 
             exec::ShardedScheduler wall_device(sim::default_config(),
                                                shard_policy);
-            serve::Server wall_server(
-                differential_config(inflight, /*wall=*/true),
-                wall_device);
+            serve::Server wall_server(wall_config, wall_device);
             const serve::ServeReport wall =
                 wall_server.process(workload);
 
@@ -417,6 +470,56 @@ TEST(ServeAsync, WaitBlocksUntilAnotherThreadFinishes)
     EXPECT_TRUE(settled_seen.load());
     EXPECT_TRUE(last.settled());
     EXPECT_TRUE(report.conserved());
+}
+
+TEST(ServeAsync, JoinedWavesRunInlineOnlyOverlappingWavesGetAWorker)
+{
+    // The wall-mode execution rule: a wave whose modelled completion
+    // lies within the pump that dispatches it is joined before that
+    // pump returns, so it runs inline; only a wave that outlives the
+    // pump gets a worker thread (counted in serve.waves.async).
+    support::metrics::Counter& async_waves =
+        support::metrics::counter("serve.waves.async");
+
+    {
+        SCOPED_TRACE("(a) arrivals spaced far beyond each wave's cost");
+        serve::WorkloadSpec spec;
+        spec.seed = fuzz_seed(0x1a11e);
+        spec.requests = 200;
+        spec.mean_interarrival_us = 1000;
+        spec.burst_fraction = 0;
+        spec.max_bits = 1024;
+        const std::vector<serve::Request> workload =
+            serve::generate_workload(spec);
+        const std::uint64_t before = async_waves.value();
+        exec::CpuDevice oracle_device;
+        const serve::ServeReport oracle =
+            serve::Server(differential_config(4, false), oracle_device)
+                .process(workload);
+        exec::CpuDevice wall_device;
+        const serve::ServeReport wall =
+            serve::Server(differential_config(4, true), wall_device)
+                .process(workload);
+        EXPECT_EQ(async_waves.value() - before, 0u)
+            << "every wave completes before the next arrival";
+        EXPECT_GT(wall.waves, 0u);
+        expect_differential_match(oracle, wall, workload);
+    }
+    {
+        SCOPED_TRACE("(b) the differential matrix's overloaded mix");
+        exec::ShardPolicy policy;
+        policy.shards = 4;
+        policy.drain_fault_threshold = 0;
+        exec::ShardedScheduler device(sim::default_config(), policy);
+        const std::uint64_t before = async_waves.value();
+        const serve::ServeReport report =
+            serve::Server(differential_config(4, true), device)
+                .process(differential_workload(fuzz_seed(kMatrixSeed)));
+        const std::uint64_t delta = async_waves.value() - before;
+        EXPECT_GT(delta, 0u) << "some waves outlive their pump";
+        EXPECT_LT(delta, report.waves) << "the rest run inline";
+        EXPECT_TRUE(report.conserved()) << report.table();
+    }
 }
 
 TEST(ServeAsync, SessionDisciplineIsEnforced)
