@@ -43,8 +43,7 @@ main()
         SelfCheckPolicy policy;
         policy.enabled = rate > 0;
         policy.sample_rate = rate;
-        Runtime runtime(Backend::CambriconP, sim::default_config(),
-                        policy);
+        Runtime runtime("sim", sim::default_config(), policy);
         const double seconds = camp::bench::time_call(
             [&] { (void)runtime.mul_functional(a, b); }, 0.2);
         if (rate == 0.0)
@@ -70,7 +69,7 @@ main()
         sim::SimConfig config;
         config.faults.seed = 90;
         config.faults.rate_at(FaultSite::IpuAccumulator) = rate;
-        Runtime runtime(Backend::CambriconP, config);
+        Runtime runtime("sim", config);
         const double seconds = camp::bench::time_call(
             [&] { (void)runtime.mul_functional(a, b); }, 0.2);
         const FaultStats& stats = runtime.fault_stats();

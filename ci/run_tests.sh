@@ -30,8 +30,10 @@
 #  3. address+undefined-sanitizer build + ctest — this includes
 #     test_simd_kernels, so the vector kernels' scratch/tail handling
 #     runs under ASan/UBSan every CI pass — followed by a dedicated
-#     memory-plane leg (test_memory_plane, test_scheduler, test_exec
-#     with ASAN_OPTIONS=detect_invalid_pointer_pairs=2) where the limb
+#     memory-plane leg (test_memory_plane, test_scheduler, test_exec,
+#     and the wave writers test_serve and test_serve_async — the
+#     breaker's quarantine writes wave slots directly — with
+#     ASAN_OPTIONS=detect_invalid_pointer_pairs=2) where the limb
 #     arena's manual poisoning of freed ranges turns any
 #     use-after-reset of a wave view into a hard failure
 #     (skip with CAMP_CI_SKIP_SANITIZE=1);
@@ -226,9 +228,12 @@ if [[ "${CAMP_CI_SKIP_SANITIZE:-0}" != "1" ]]; then
     # (support::asan_poison), so any use of a view past its
     # WaveBuffer's reset()/release() is a hard ASan failure here, not
     # silent reuse. detect_invalid_pointer_pairs additionally checks
-    # the intra-slab pointer arithmetic the carver does.
+    # the intra-slab pointer arithmetic the carver does. test_serve and
+    # test_serve_async drive the breaker, whose quarantine path writes
+    # golden products straight into wave slots.
     echo "==== asan memory-plane leg (arena poisoning armed) ===="
-    for t in test_memory_plane test_scheduler test_exec; do
+    for t in test_memory_plane test_scheduler test_exec test_serve \
+             test_serve_async; do
         echo "---- ${t} (ASAN_OPTIONS=detect_invalid_pointer_pairs=2) ----"
         ASAN_OPTIONS="detect_invalid_pointer_pairs=2:halt_on_error=1" \
             ./build-asan/tests/"${t}"

@@ -1,8 +1,10 @@
 #include "exec/analytic_device.hpp"
 
+#include <algorithm>
+
+#include "exec/wave.hpp"
 #include "mpn/ophook.hpp"
 #include "support/assert.hpp"
-#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace camp::exec {
@@ -27,50 +29,28 @@ AnalyticDevice::mul(const Natural& a, const Natural& b)
 }
 
 sim::BatchResult
-AnalyticDevice::mul_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    unsigned parallelism)
+AnalyticDevice::mul_batch_wave(WaveBuffer& wave,
+                               const std::vector<std::size_t>& items,
+                               const std::vector<std::uint64_t>& indices,
+                               unsigned parallelism)
 {
-    support::trace::Span span("exec.analytic.mul_batch", "exec");
-    span.arg("count", static_cast<double>(pairs.size()));
-    sim::BatchResult result;
-    const std::size_t count = pairs.size();
-    result.products.resize(count);
-    result.per_product.resize(count);
-
-    support::ThreadPool& pool = support::ThreadPool::global();
-    const bool fork = parallelism != 1 && count > 1 &&
-                      pool.parallel() && support::parallel_allowed();
-    result.parallelism = fork ? pool.executors() : 1;
-    const auto one = [this, &pairs, &result](std::size_t i) {
-        mpn::OpHookSuspend suspend;
-        const Natural& a = pairs[i].first;
-        const Natural& b = pairs[i].second;
-        sim::BatchProductStats& stats = result.per_product[i];
-        if (a.is_zero() || b.is_zero())
-            return; // zero product, zero accounting (BatchEngine rule)
-        CAMP_ASSERT(a.bits() <= config_.monolithic_cap_bits &&
-                    b.bits() <= config_.monolithic_cap_bits);
-        result.products[i] = a * b;
-        const sim::CoreStats per =
-            analytic_.multiply_stats(a.bits(), b.bits());
-        stats.tasks = per.tasks;
-        stats.bytes = per.bytes;
-    };
-    if (fork) {
-        support::TaskGroup group(pool);
-        for (std::size_t i = 1; i < count; ++i)
-            group.run([&one, i] { one(i); });
-        one(0);
-        group.wait();
-    } else {
-        for (std::size_t i = 0; i < count; ++i)
-            one(i);
-    }
-
-    for (const sim::BatchProductStats& stats : result.per_product) {
-        result.tasks += stats.tasks;
-        result.bytes += stats.bytes;
+    support::trace::Span span("exec.analytic.mul_batch_wave", "exec");
+    span.arg("count", static_cast<double>(items.size()));
+    sim::BatchResult result =
+        host_.mul_batch_wave(wave, items, indices, parallelism);
+    result.tasks = 0;
+    for (std::size_t k = 0; k < items.size(); ++k) {
+        const std::uint64_t bits_a = wave.operand_a(items[k]).bits();
+        const std::uint64_t bits_b = wave.operand_b(items[k]).bits();
+        if (bits_a == 0 || bits_b == 0)
+            continue; // zero product, zero accounting (BatchEngine rule)
+        CAMP_ASSERT(bits_a <= config_.monolithic_cap_bits &&
+                    bits_b <= config_.monolithic_cap_bits);
+        const sim::CoreStats per = analytic_.multiply_stats(bits_a, bits_b);
+        result.per_product[k].tasks = per.tasks;
+        result.per_product[k].bytes = per.bytes;
+        result.tasks += per.tasks;
+        result.bytes += per.bytes;
     }
     // Same wave pooling as sim::BatchEngine: independent products pack
     // the whole fabric, memory time is pooled traffic at the
@@ -89,12 +69,20 @@ AnalyticDevice::mul_batch(
 CostEstimate
 AnalyticDevice::cost(std::uint64_t bits_a, std::uint64_t bits_b) const
 {
-    const sim::CoreStats stats =
-        analytic_.multiply_stats(bits_a, bits_b);
+    return analytic_cost(config_, analytic_, energy_, bits_a, bits_b);
+}
+
+CostEstimate
+analytic_cost(const sim::SimConfig& config,
+              const sim::AnalyticModel& model,
+              const sim::EnergyModel& energy, std::uint64_t bits_a,
+              std::uint64_t bits_b)
+{
+    const sim::CoreStats stats = model.multiply_stats(bits_a, bits_b);
     CostEstimate estimate;
     estimate.cycles = static_cast<double>(stats.cycles);
-    estimate.seconds = stats.seconds(config_);
-    estimate.energy_j = energy_.energy(stats, config_);
+    estimate.seconds = stats.seconds(config);
+    estimate.energy_j = energy.energy(stats, config);
     return estimate;
 }
 

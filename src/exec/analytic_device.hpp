@@ -11,12 +11,21 @@
 #ifndef CAMP_EXEC_ANALYTIC_DEVICE_HPP
 #define CAMP_EXEC_ANALYTIC_DEVICE_HPP
 
+#include "exec/cpu_device.hpp"
 #include "exec/device.hpp"
 #include "sim/analytic_model.hpp"
 #include "sim/config.hpp"
 #include "sim/tech_model.hpp"
 
 namespace camp::exec {
+
+/** One base product's modelled cost on @p config: cycles from the
+ * analytic schedule, energy from the technology model. The cost
+ * answer of both Cambricon-P backends (sim and analytic). */
+CostEstimate analytic_cost(const sim::SimConfig& config,
+                           const sim::AnalyticModel& model,
+                           const sim::EnergyModel& energy,
+                           std::uint64_t bits_a, std::uint64_t bits_b);
 
 class AnalyticDevice : public Device
 {
@@ -34,13 +43,15 @@ class AnalyticDevice : public Device
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
 
-    /** Batch accounting mirrors sim::BatchEngine's wave pooling —
-     * tasks from independent products pack the whole fabric — with
-     * per-product task/byte counts from the analytic schedule. */
+    /** Products come from the host wave routine (CpuDevice's); batch
+     * accounting mirrors sim::BatchEngine's wave pooling — tasks from
+     * independent products pack the whole fabric — with per-product
+     * task/byte counts from the analytic schedule. */
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<mpn::Natural,
-                                          mpn::Natural>>& pairs,
-              unsigned parallelism = 0) override;
+    mul_batch_wave(WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>& indices,
+                   unsigned parallelism = 0) override;
 
     CostEstimate cost(std::uint64_t bits_a,
                       std::uint64_t bits_b) const override;
@@ -51,6 +62,7 @@ class AnalyticDevice : public Device
     sim::SimConfig config_;
     sim::AnalyticModel analytic_;
     sim::EnergyModel energy_;
+    CpuDevice host_; ///< computes the exact products of a wave
 };
 
 } // namespace camp::exec

@@ -91,22 +91,6 @@ CheckedDevice::mul(const Natural& a, const Natural& b)
 }
 
 sim::BatchResult
-CheckedDevice::mul_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    unsigned parallelism)
-{
-    return inner_->mul_batch(pairs, parallelism);
-}
-
-sim::BatchResult
-CheckedDevice::mul_batch_indexed(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    const std::vector<std::uint64_t>& indices, unsigned parallelism)
-{
-    return inner_->mul_batch_indexed(pairs, indices, parallelism);
-}
-
-sim::BatchResult
 CheckedDevice::mul_batch_wave(WaveBuffer& wave,
                               const std::vector<std::size_t>& items,
                               const std::vector<std::uint64_t>& indices,

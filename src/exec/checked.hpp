@@ -77,22 +77,11 @@ class CheckedDevice : public Device
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
 
-    /** Batches forward unchecked: BatchEngine validates per product
+    /** Waves forward unchecked: BatchEngine validates per product
      * when armed and reports mismatches in BatchResult::faulty; the
-     * recovery policy for batch work stays with the caller (seed
-     * semantics — see Runtime::multiply_batch). */
-    sim::BatchResult
-    mul_batch(const std::vector<std::pair<mpn::Natural,
-                                          mpn::Natural>>& pairs,
-              unsigned parallelism = 0) override;
-
-    sim::BatchResult
-    mul_batch_indexed(const std::vector<std::pair<mpn::Natural,
-                                                  mpn::Natural>>& pairs,
-                      const std::vector<std::uint64_t>& indices,
-                      unsigned parallelism = 0) override;
-
-    /** Forwarded unchecked, like the other batch entry points. */
+     * recovery policy for batch work stays with the caller (the
+     * sharded scheduler redistributes; see also
+     * Runtime::multiply_batch). */
     sim::BatchResult
     mul_batch_wave(WaveBuffer& wave,
                    const std::vector<std::size_t>& items,

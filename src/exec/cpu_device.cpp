@@ -29,55 +29,6 @@ CpuDevice::mul(const Natural& a, const Natural& b)
 }
 
 sim::BatchResult
-CpuDevice::mul_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    unsigned parallelism)
-{
-    support::trace::Span span("exec.cpu.mul_batch", "exec");
-    span.arg("count", static_cast<double>(pairs.size()));
-    sim::BatchResult result;
-    const std::size_t count = pairs.size();
-    result.products.resize(count);
-    result.per_product.resize(count);
-    result.tasks = count;
-
-    support::ThreadPool& pool = support::ThreadPool::global();
-    const bool fork = parallelism != 1 && count > 1 && pool.parallel() &&
-                      support::parallel_allowed();
-    result.parallelism = fork ? pool.executors() : 1;
-    // Contiguous slices through the SoA batch driver: same-shape
-    // products inside a slice run the vertical vectorized basecase,
-    // and chunking (instead of one pool task per product) keeps task
-    // and allocation overhead amortized in the small-width regime.
-    const auto slice = [&pairs, &result](std::size_t lo,
-                                         std::size_t hi) {
-        // Pool-side arithmetic must not be announced to op hooks
-        // (ledger/profiler assume one logical app thread).
-        mpn::OpHookSuspend suspend;
-        mpn::kernels::soa_mul_batch(pairs.data() + lo, hi - lo,
-                                    result.products.data() + lo);
-    };
-    if (fork) {
-        const std::size_t chunks =
-            std::min(count,
-                     static_cast<std::size_t>(pool.executors()) * 4);
-        const std::size_t step = (count + chunks - 1) / chunks;
-        support::TaskGroup group(pool);
-        for (std::size_t lo = step; lo < count; lo += step) {
-            const std::size_t hi = std::min(count, lo + step);
-            group.run([&slice, lo, hi] { slice(lo, hi); });
-        }
-        slice(0, std::min(count, step));
-        group.wait();
-    } else {
-        slice(0, count);
-    }
-    // Host products carry no simulated accounting: cycles stay zero
-    // (the Fig. 13 methodology measures host time with the profiler).
-    return result;
-}
-
-sim::BatchResult
 CpuDevice::mul_batch_wave(WaveBuffer& wave,
                           const std::vector<std::size_t>& items,
                           const std::vector<std::uint64_t>& indices,
@@ -95,7 +46,7 @@ CpuDevice::mul_batch_wave(WaveBuffer& wave,
     const bool fork = parallelism != 1 && count > 1 && pool.parallel() &&
                       support::parallel_allowed();
     result.parallelism = fork ? pool.executors() : 1;
-    // Same contiguous-slice fan-out as mul_batch, but each slice feeds
+    // Contiguous slices (not one pool task per product), each feeding
     // the raw SoA driver wave-owned operand views and result slots:
     // steady state, a whole wave multiplies without one product-buffer
     // allocation (this is what bench/perf_smoke's alloc_per_wave row

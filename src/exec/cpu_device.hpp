@@ -1,7 +1,7 @@
 /**
  * @file
  * CpuDevice: the host backend — base products execute through the mpn
- * kernels (the same code path the applications use directly), batches
+ * kernels (the same code path the applications use directly), waves
  * fan out across the global thread pool. This is the reference
  * machine every other backend is checked against, so its products are
  * golden by construction.
@@ -26,11 +26,6 @@ class CpuDevice : public Device
 
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
-
-    sim::BatchResult
-    mul_batch(const std::vector<std::pair<mpn::Natural,
-                                          mpn::Natural>>& pairs,
-              unsigned parallelism = 0) override;
 
     /** Zero-copy wave execution: the SoA batch driver runs directly
      * over the wave's operand views and writes products straight into

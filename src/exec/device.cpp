@@ -2,61 +2,29 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "exec/wave.hpp"
-#include "support/assert.hpp"
 
 namespace camp::exec {
 
 sim::BatchResult
-Device::mul_batch_indexed(
+Device::mul_batch(
     const std::vector<std::pair<mpn::Natural, mpn::Natural>>& pairs,
-    const std::vector<std::uint64_t>& indices, unsigned parallelism)
+    unsigned parallelism)
 {
-    CAMP_ASSERT(indices.size() == pairs.size());
-    return mul_batch(pairs, parallelism);
-}
-
-sim::BatchResult
-Device::mul_batch_wave(WaveBuffer& wave,
-                       const std::vector<std::size_t>& items,
-                       const std::vector<std::uint64_t>& indices,
-                       unsigned parallelism)
-{
-    // Reference implementation: materialize the operands, run the
-    // established indexed batch path (fault streams keyed by the
-    // wave-global indices, so determinism is inherited), then move the
-    // products into the wave's result slots. Backends override this to
-    // eliminate the copies; results are bit-identical either way.
-    CAMP_ASSERT(indices.size() == items.size());
-    std::vector<std::pair<mpn::Natural, mpn::Natural>> pairs;
-    pairs.reserve(items.size());
-    for (const std::size_t item : items)
-        pairs.push_back(wave.operand_pair(item));
-    sim::BatchResult result =
-        mul_batch_indexed(pairs, indices, parallelism);
-    CAMP_ASSERT(result.products.size() == items.size());
-    for (std::size_t k = 0; k < items.size(); ++k) {
-        const mpn::Natural& product = result.products[k];
-        const std::size_t item = items[k];
-        std::size_t n = product.size();
-        if (n > wave.result_capacity(item)) {
-            // An exact product always fits in an + bn limbs; only an
-            // injected-fault corruption can overflow, and it is
-            // already counted faulty — clamp to the slot (corrupted
-            // values carry no contractual content).
-            CAMP_ASSERT(result.per_product[k].faulty);
-            n = wave.result_capacity(item);
-        }
-        if (n != 0)
-            std::memcpy(wave.result_ptr(item), product.data(),
-                        n * sizeof(mpn::Limb));
-        wave.set_result_size(item, n);
+    WaveBuffer wave;
+    std::vector<std::size_t> items(pairs.size());
+    std::vector<std::uint64_t> indices(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        items[i] = wave.add(pairs[i].first, pairs[i].second);
+        indices[i] = i;
     }
-    result.products.clear();
+    sim::BatchResult result =
+        mul_batch_wave(wave, items, indices, parallelism);
+    result.products.reserve(items.size());
+    for (const std::size_t item : items)
+        result.products.push_back(wave.take_result(item));
     return result;
 }
 
@@ -97,22 +65,7 @@ apply_device_env_tuning(const char* device_name, mpn::MulTuning tuning)
     for (const char* p = device_name; *p != '\0'; ++p)
         prefix += static_cast<char>(
             std::toupper(static_cast<unsigned char>(*p)));
-    prefix += "_MUL_THRESH_";
-    const auto apply = [&prefix](const char* field, std::size_t& value) {
-        const std::string name = prefix + field;
-        if (const char* env = std::getenv(name.c_str())) {
-            const long long v = std::strtoll(env, nullptr, 10);
-            if (v >= 1)
-                value = static_cast<std::size_t>(v);
-        }
-    };
-    apply("KARATSUBA", tuning.karatsuba);
-    apply("TOOM3", tuning.toom3);
-    apply("TOOM4", tuning.toom4);
-    apply("TOOM6", tuning.toom6);
-    apply("SSA", tuning.ssa);
-    apply("PARALLEL", tuning.parallel);
-    return tuning;
+    return mpn::env_tuning(prefix + "_MUL_THRESH_", tuning);
 }
 
 } // namespace camp::exec

@@ -6,7 +6,7 @@
  * library routes kernel operators to whichever machine executes them.
  *
  * A Device executes *base products* (multiplications within its
- * capability) and batches of independent products, and answers cost /
+ * capability) and waves of independent products, and answers cost /
  * energy queries so the MPApca layer can plan decompositions. Three
  * implementations ship with the repo:
  *  - CpuDevice      — the mpn kernels (host execution, unlimited size);
@@ -65,10 +65,17 @@ struct MulOutcome
 };
 
 /**
- * One execution backend. Thread-compatibility contract: a Device may
- * be driven from pool tasks (SubmitQueue does), but concurrent calls
- * into the *same* device instance are not synchronized here — batch
- * fan-out happens inside mul_batch, which owns its parallelism.
+ * One execution backend. It has exactly two multiply virtuals: `mul`
+ * for one product and `mul_batch_wave` for a batch. `mul` stays its
+ * own virtual rather than a one-item wave because a device's single
+ * products may draw from a persistent fault stream (SimDevice's core),
+ * so each CheckedDevice retry sees fresh faults; a one-item wave would
+ * reseed the same stream and replay the same corruption every retry.
+ *
+ * Thread-compatibility contract: a Device may be driven from pool
+ * tasks (SubmitQueue does), but concurrent calls into the *same*
+ * device instance are not synchronized here — batch fan-out happens
+ * inside mul_batch_wave, which owns its parallelism.
  */
 class Device
 {
@@ -101,50 +108,30 @@ class Device
                            const mpn::Natural& b) = 0;
 
     /**
-     * Many independent products, every operand within
-     * base_cap_bits(). @p parallelism follows the BatchEngine
-     * convention: 0 = auto (fork across the global pool), 1 = serial,
-     * >= 2 = fork. Products are bit-identical across all settings.
+     * Many independent products over copied pairs, every operand
+     * within base_cap_bits(). Not virtual: fills a one-shot WaveBuffer,
+     * runs mul_batch_wave with each pair's position as its fault-seed
+     * index, and copies the products out into BatchResult::products.
+     * @p parallelism follows the BatchEngine convention: 0 = auto
+     * (fork across the global pool), 1 = serial, >= 2 = fork.
+     * Products are bit-identical across all settings.
      */
-    virtual sim::BatchResult
+    sim::BatchResult
     mul_batch(const std::vector<std::pair<mpn::Natural,
                                           mpn::Natural>>& pairs,
-              unsigned parallelism = 0) = 0;
+              unsigned parallelism = 0);
 
     /**
-     * mul_batch with explicit per-product fault-seed indices: product
-     * i draws its fault stream from seed index @p indices[i] instead
-     * of its position in @p pairs. A scheduler that splits one logical
-     * wave across several devices passes the wave-global indices so
-     * every product's fault stream is invariant under the split (the
-     * resharding-determinism contract). The default implementation
-     * ignores the indices and delegates to mul_batch — correct for
-     * any device without per-product fault streams (cpu, analytic).
-     * @p indices must be pairs.size() long.
-     */
-    virtual sim::BatchResult
-    mul_batch_indexed(const std::vector<std::pair<mpn::Natural,
-                                                  mpn::Natural>>& pairs,
-                      const std::vector<std::uint64_t>& indices,
-                      unsigned parallelism = 0);
-
-    /**
-     * Zero-copy wave execution (DESIGN.md §14): multiply the given
-     * @p items of @p wave (wave-global fault-seed @p indices[k] for
-     * item @p items[k]; must be the same length) and write each
-     * product into the item's preallocated wave result slot via
-     * WaveBuffer::set_result_size. The returned BatchResult carries
+     * The one batch entry point (DESIGN.md §14): multiply the given
+     * @p items of @p wave and write each product into the item's
+     * preallocated result slot (WaveBuffer::set_result_size or
+     * set_result). Item @p items[k] draws its fault stream from the
+     * wave-global seed index @p indices[k] (same length as @p items),
+     * so a scheduler that splits one wave across several devices keeps
+     * every product on the same fault stream (the resharding-
+     * determinism contract). The returned BatchResult carries
      * accounting only: `products` stays EMPTY (the wave owns the
      * limbs) and `per_product[k]` lines up with @p items[k].
-     *
-     * Bit-identity contract: products published into the wave are
-     * identical to what mul_batch_indexed would return for the same
-     * operands and indices (tests/test_memory_plane.cpp fuzzes this
-     * differentially per backend). The default implementation
-     * guarantees it by construction — it materializes the operands and
-     * delegates to mul_batch_indexed, then copies the products into
-     * the wave — so any backend is wave-capable; overrides (cpu, sim,
-     * sharded) only remove copies, never change results.
      *
      * Concurrency: callers may execute disjoint item sets of one wave
      * concurrently (the sharded scheduler does); implementations only
@@ -154,7 +141,7 @@ class Device
     mul_batch_wave(WaveBuffer& wave,
                    const std::vector<std::size_t>& items,
                    const std::vector<std::uint64_t>& indices,
-                   unsigned parallelism = 0);
+                   unsigned parallelism = 0) = 0;
 
     /** Cost/energy estimate for one base product of this shape. */
     virtual CostEstimate cost(std::uint64_t bits_a,

@@ -2,13 +2,13 @@
  * @file
  * SubmitQueue: asynchronous base-product submission with batch
  * coalescing. Independently submitted multiplications buffer in the
- * queue and execute together through Device::mul_batch, so tasks from
- * unrelated products pack the simulated IPU fabric in shared waves —
- * the batch-mode win of paper §V-B3 — instead of each product paying
- * its own partial waves. Futures resolve lazily: the first get() (or
- * an explicit flush) drains everything buffered so far in one
- * coalesced batch, which keeps the design deadlock-free even on a
- * serial (CAMP_THREADS=1) host.
+ * queue and execute together through Device::mul_batch_wave, so
+ * tasks from unrelated products pack the simulated IPU fabric in
+ * shared waves — the batch-mode win of paper §V-B3 — instead of each
+ * product paying its own partial waves. Futures resolve lazily: the
+ * first get() (or an explicit flush) drains everything buffered so
+ * far in one coalesced batch, which keeps the design deadlock-free
+ * even on a serial (CAMP_THREADS=1) host.
  *
  * Wave ring (DESIGN.md §15): the pooled WaveBuffer storage is a ring
  * of inflight_waves + 1 buffers — one filling, up to inflight_waves
@@ -202,10 +202,10 @@ class SubmitQueue
      * @p device executes the coalesced batches (not owned; must
      * outlive the queue). @p max_pending > 0 auto-flushes whenever
      * that many products are buffered; 0 buffers without bound until
-     * a get()/flush(). @p parallelism is forwarded to mul_batch
-     * (0 = auto). @p inflight_waves sizes the wave ring: that many
-     * flushes may execute concurrently (>= 1; 1 = the classic
-     * double-buffered queue).
+     * a get()/flush(). @p parallelism is forwarded to
+     * mul_batch_wave (0 = auto). @p inflight_waves sizes the wave
+     * ring: that many flushes may execute concurrently (>= 1; 1 = the
+     * classic double-buffered queue).
      */
     explicit SubmitQueue(Device& device, std::size_t max_pending = 0,
                          unsigned parallelism = 0,

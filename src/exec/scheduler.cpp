@@ -6,8 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include <cstring>
-
 #include "exec/registry.hpp"
 #include "exec/wave.hpp"
 #include "support/assert.hpp"
@@ -58,23 +56,6 @@ scheduler_metrics()
         return sm;
     }();
     return *m;
-}
-
-/** Strictly positive integer from the environment; throws with the
- * variable name on junk or < 1. */
-unsigned
-positive_env(const char* name, unsigned fallback)
-{
-    const char* env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1)
-        throw InvalidArgument(std::string(name) +
-                              " must be a positive integer, got '" +
-                              env + "'");
-    return static_cast<unsigned>(v);
 }
 
 /** FNV-1a over both operands' limbs — the sticky-session identity of
@@ -131,9 +112,10 @@ ShardPolicy
 shard_policy_from_env()
 {
     ShardPolicy policy;
-    policy.shards = positive_env("CAMP_SHARDS", policy.shards);
-    policy.max_inflight_waves =
-        positive_env("CAMP_SHARD_INFLIGHT", policy.max_inflight_waves);
+    policy.shards =
+        support::env_positive_unsigned("CAMP_SHARDS", policy.shards);
+    policy.max_inflight_waves = support::env_positive_unsigned(
+        "CAMP_SHARD_INFLIGHT", policy.max_inflight_waves);
     policy.sticky_sessions =
         support::env_flag("CAMP_SHARD_STICKY", policy.sticky_sessions);
     if (const char* env = std::getenv("CAMP_SHARD_BACKENDS")) {
@@ -342,19 +324,15 @@ ShardedScheduler::drain_shard(std::size_t i, const char* why)
 }
 
 void
-ShardedScheduler::check_operands(
-    const std::vector<std::pair<Natural, Natural>>& pairs) const
+ShardedScheduler::check_operand_bits(std::uint64_t bits) const
 {
-    if (cap_bits_ == 0)
+    if (cap_bits_ == 0 || bits <= cap_bits_)
         return;
-    for (const auto& [a, b] : pairs)
-        if (a.bits() > cap_bits_ || b.bits() > cap_bits_) {
-            std::ostringstream message;
-            message << "operand of " << std::max(a.bits(), b.bits())
-                    << " bits exceeds the scheduler base capability of "
-                    << cap_bits_ << " bits";
-            throw InvalidArgument(message.str());
-        }
+    std::ostringstream message;
+    message << "operand of " << bits
+            << " bits exceeds the scheduler base capability of "
+            << cap_bits_ << " bits";
+    throw InvalidArgument(message.str());
 }
 
 std::vector<std::vector<std::size_t>>
@@ -527,7 +505,7 @@ ShardedScheduler::recover_product(std::size_t from, const Natural& a,
 MulOutcome
 ShardedScheduler::mul(const Natural& a, const Natural& b)
 {
-    check_operands({{a, b}});
+    check_operand_bits(std::max(a.bits(), b.bits()));
     // Cheapest-first placement over the alive shards.
     std::vector<std::size_t> candidates = alive_shards();
     std::vector<double> seconds(shards_.size(), 0.0);
@@ -582,211 +560,6 @@ ShardedScheduler::mul(const Natural& a, const Natural& b)
 }
 
 sim::BatchResult
-ShardedScheduler::mul_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    unsigned parallelism)
-{
-    std::vector<std::uint64_t> indices(pairs.size());
-    std::iota(indices.begin(), indices.end(), std::uint64_t{0});
-    return mul_batch_indexed(pairs, indices, parallelism);
-}
-
-sim::BatchResult
-ShardedScheduler::mul_batch_indexed(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    const std::vector<std::uint64_t>& indices, unsigned parallelism)
-{
-    CAMP_ASSERT(indices.size() == pairs.size());
-    check_operands(pairs);
-    sim::BatchResult result;
-    const std::size_t count = pairs.size();
-    if (count == 0)
-        return result;
-
-    // Backpressure: at most max_inflight_waves waves execute at once;
-    // further submitters block here instead of queueing unboundedly.
-    struct WaveSlot
-    {
-        ShardedScheduler* scheduler;
-        unsigned slot;
-        ~WaveSlot() { scheduler->release_wave_slot(slot); }
-    } slot{this, acquire_wave_slot()};
-    (void)slot;
-
-    const std::vector<std::size_t> alive = alive_shards();
-    CAMP_ASSERT(!alive.empty());
-    support::trace::Span span("exec.scheduler.wave", "exec");
-    span.arg("count", static_cast<double>(count));
-    span.arg("shards", static_cast<double>(alive.size()));
-
-    // Cost-balanced partition: LPT over the shards' own estimates (a
-    // heterogeneous sim+cpu deployment weighs the same item
-    // differently per shard).
-    std::vector<std::vector<std::size_t>> assign;
-    if (alive.size() == 1) {
-        assign.resize(1);
-        assign[0].resize(count);
-        std::iota(assign[0].begin(), assign[0].end(), std::size_t{0});
-    } else {
-        std::vector<std::vector<double>> weights(
-            alive.size(), std::vector<double>(count));
-        for (std::size_t s = 0; s < alive.size(); ++s) {
-            const CheckedDevice& device = *shards_[alive[s]]->device;
-            for (std::size_t i = 0; i < count; ++i)
-                weights[s][i] =
-                    device
-                        .cost(std::max<std::uint64_t>(
-                                  1, pairs[i].first.bits()),
-                              std::max<std::uint64_t>(
-                                  1, pairs[i].second.bits()))
-                        .seconds;
-        }
-        assign = lpt_assign(weights);
-    }
-
-    // Concurrent shard execution. Device batch entry points are
-    // self-contained per call (see Shard), so no shard lock is taken —
-    // a helping worker stealing another wave's task for the same shard
-    // is safe.
-    struct SubResult
-    {
-        sim::BatchResult batch;
-        bool failed = false;
-    };
-    std::vector<SubResult> subs(alive.size());
-    {
-        support::TaskGroup group;
-        for (std::size_t s = 0; s < alive.size(); ++s) {
-            if (assign[s].empty())
-                continue;
-            group.run([this, &pairs, &indices, &assign, &subs, &alive,
-                       parallelism, s] {
-                support::trace::Span shard_span("exec.shard.wave",
-                                                "exec");
-                shard_span.arg("shard",
-                               static_cast<double>(alive[s]));
-                shard_span.arg(
-                    "count", static_cast<double>(assign[s].size()));
-                std::vector<std::pair<Natural, Natural>> sub_pairs;
-                std::vector<std::uint64_t> sub_indices;
-                sub_pairs.reserve(assign[s].size());
-                sub_indices.reserve(assign[s].size());
-                for (const std::size_t pos : assign[s]) {
-                    sub_pairs.push_back(pairs[pos]);
-                    sub_indices.push_back(indices[pos]);
-                }
-                try {
-                    subs[s].batch =
-                        shards_[alive[s]]->device->mul_batch_indexed(
-                            sub_pairs, sub_indices, parallelism);
-                } catch (const std::exception&) {
-                    subs[s].failed = true;
-                }
-            });
-        }
-        group.wait();
-    }
-
-    // Reassemble in wave order; aggregate cycles/waves are the max
-    // over the concurrent shards, everything else sums.
-    result.products.resize(count);
-    result.per_product.resize(count);
-    unsigned shards_used = 0;
-    for (std::size_t s = 0; s < alive.size(); ++s) {
-        if (assign[s].empty())
-            continue;
-        ++shards_used;
-        Shard& shard = *shards_[alive[s]];
-        if (subs[s].failed) {
-            // The whole sub-batch redistributes to the survivors.
-            drain_shard(alive[s], "wave execution threw");
-            for (const std::size_t pos : assign[s]) {
-                std::uint64_t injected = 0;
-                result.products[pos] =
-                    recover_product(alive[s], pairs[pos].first,
-                                    pairs[pos].second, injected);
-                result.injected += injected;
-            }
-            const std::uint64_t moved = assign[s].size();
-            {
-                std::lock_guard<std::mutex> lock(state_mutex_);
-                shard.stats.redistributed += moved;
-                stats_.redistributed += moved;
-            }
-            shard.metrics->redistributed->add(moved);
-            scheduler_metrics().redistributed->add(moved);
-            continue;
-        }
-        sim::BatchResult& sub = subs[s].batch;
-        CAMP_ASSERT(sub.products.size() == assign[s].size() &&
-                    sub.per_product.size() == assign[s].size());
-        for (std::size_t k = 0; k < assign[s].size(); ++k) {
-            const std::size_t pos = assign[s][k];
-            result.products[pos] = std::move(sub.products[k]);
-            result.per_product[pos] = sub.per_product[k];
-        }
-        result.tasks += sub.tasks;
-        result.bytes += sub.bytes;
-        result.injected += sub.injected;
-        result.faulty += sub.faulty;
-        result.cycles = std::max(result.cycles, sub.cycles);
-        result.waves = std::max(result.waves, sub.waves);
-        {
-            std::lock_guard<std::mutex> lock(state_mutex_);
-            shard.stats.products += assign[s].size();
-            ++shard.stats.waves;
-        }
-        shard.metrics->products->add(assign[s].size());
-        shard.metrics->waves->add();
-        shard.metrics->cycles->add(sub.cycles);
-    }
-    result.parallelism = shards_used;
-
-    // Redistribute detected-faulty products (PR-1 recovery policy):
-    // recompute exactly on a surviving peer, CPU as last resort. The
-    // per_product faulty flag stays set — it records *detection*, and
-    // is deterministic under resharding thanks to wave-global seeds.
-    for (std::size_t s = 0; s < alive.size(); ++s) {
-        if (assign[s].empty() || subs[s].failed ||
-            subs[s].batch.faulty == 0)
-            continue;
-        Shard& shard = *shards_[alive[s]];
-        std::uint64_t moved = 0;
-        for (const std::size_t pos : assign[s]) {
-            if (!result.per_product[pos].faulty)
-                continue;
-            std::uint64_t injected = 0;
-            result.products[pos] =
-                recover_product(alive[s], pairs[pos].first,
-                                pairs[pos].second, injected);
-            result.injected += injected;
-            ++moved;
-        }
-        if (moved != 0) {
-            {
-                std::lock_guard<std::mutex> lock(state_mutex_);
-                shard.stats.redistributed += moved;
-                stats_.redistributed += moved;
-            }
-            shard.metrics->redistributed->add(moved);
-            scheduler_metrics().redistributed->add(moved);
-        }
-        if (policy_.drain_fault_threshold != 0 &&
-            subs[s].batch.faulty >= policy_.drain_fault_threshold)
-            drain_shard(alive[s], "faulty products in wave");
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        ++stats_.waves;
-        stats_.products += count;
-    }
-    scheduler_metrics().waves->add();
-    scheduler_metrics().products->add(count);
-    return result;
-}
-
-sim::BatchResult
 ShardedScheduler::mul_batch_wave(WaveBuffer& wave,
                                 const std::vector<std::size_t>& items,
                                 const std::vector<std::uint64_t>& indices,
@@ -794,19 +567,9 @@ ShardedScheduler::mul_batch_wave(WaveBuffer& wave,
 {
     CAMP_ASSERT(indices.size() == items.size());
     if (cap_bits_ != 0)
-        for (const std::size_t item : items) {
-            const std::uint64_t bits =
-                std::max(wave.operand_a(item).bits(),
-                         wave.operand_b(item).bits());
-            if (bits > cap_bits_) {
-                std::ostringstream message;
-                message << "operand of " << bits
-                        << " bits exceeds the scheduler base "
-                           "capability of "
-                        << cap_bits_ << " bits";
-                throw InvalidArgument(message.str());
-            }
-        }
+        for (const std::size_t item : items)
+            check_operand_bits(std::max(wave.operand_a(item).bits(),
+                                        wave.operand_b(item).bits()));
     sim::BatchResult result;
     const std::size_t count = items.size();
     if (count == 0)
@@ -916,12 +679,7 @@ ShardedScheduler::mul_batch_wave(WaveBuffer& wave,
                                                  std::uint64_t&
                                                      injected) {
         const auto [a, b] = wave.operand_pair(item);
-        const Natural product = recover_product(from, a, b, injected);
-        CAMP_ASSERT(product.size() <= wave.result_capacity(item));
-        if (product.size() != 0)
-            std::memcpy(wave.result_ptr(item), product.data(),
-                        product.size() * sizeof(mpn::Limb));
-        wave.set_result_size(item, product.size());
+        wave.set_result(item, recover_product(from, a, b, injected));
     };
 
     // Reassemble per-product accounting in wave order; products live
@@ -971,8 +729,11 @@ ShardedScheduler::mul_batch_wave(WaveBuffer& wave,
     }
     result.parallelism = shards_used;
 
-    // Redistribute detected-faulty products exactly as the indexed
-    // path does; the exact recovery overwrites the wave slot.
+    // Redistribute detected-faulty products: recompute exactly on a
+    // surviving peer, CPU as last resort; the exact recovery
+    // overwrites the wave slot. The per_product faulty flag stays set
+    // — it records *detection*, and is deterministic under resharding
+    // thanks to wave-global seeds.
     for (std::size_t s = 0; s < alive.size(); ++s) {
         if (assign[s].empty() || subs[s].failed ||
             subs[s].batch.faulty == 0)

@@ -13,9 +13,10 @@
  * Determinism contract (the property tests/test_scheduler.cpp fuzzes):
  * products are bit-identical for every shard count, including under
  * armed fault injection. The key is seeding — every product's fault
- * stream is derived from its *wave-global* index via
- * Device::mul_batch_indexed, so repartitioning a wave never moves a
- * product onto a different fault stream. Detected-faulty products are
+ * stream is derived from its *wave-global* index, which the wave's
+ * `indices` carry down through Device::mul_batch_wave to every shard,
+ * so repartitioning a wave never moves a product onto a different
+ * fault stream. Detected-faulty products are
  * *redistributed*: recomputed exactly on a surviving peer shard's
  * self-checking mul path (PR-1 policy: golden check, bounded retries,
  * CPU fallback), or on the host CPU when no exact-capable peer is
@@ -155,35 +156,21 @@ class ShardedScheduler : public Device
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
 
-    /** One wave: pairs are seeded by their position (wave-global
-     * indices 0..n-1), LPT-partitioned, and executed concurrently. */
-    sim::BatchResult
-    mul_batch(const std::vector<std::pair<mpn::Natural,
-                                          mpn::Natural>>& pairs,
-              unsigned parallelism = 0) override;
-
-    /** One wave with explicit wave-global fault-seed indices (see
-     * Device::mul_batch_indexed). Aggregate cycles/waves are the max
-     * over the concurrent shards (they run in parallel); tasks, bytes,
+    /**
+     * One wave: the LPT partition is computed from the wave's operand
+     * views, each shard receives its item subset of the *same*
+     * WaveBuffer together with the items' wave-global fault-seed
+     * indices (per-shard staging lists live in recycled wave-slot
+     * storage, so steady state the scheduler allocates nothing per
+     * wave), and shards write products straight into the wave's
+     * disjoint result slots. Recovered products (drained shards,
+     * detected-faulty products) are published into the wave before
+     * returning. Aggregate cycles/waves are the max over the
+     * concurrent shards (they run in parallel); tasks, bytes,
      * injected, and faulty are sums; parallelism reports the number of
      * shards the wave actually used. per_product entries keep each
      * product's deterministic accounting — including the faulty flag
-     * of a product that was detected and then recovered exactly. */
-    sim::BatchResult
-    mul_batch_indexed(const std::vector<std::pair<mpn::Natural,
-                                                  mpn::Natural>>& pairs,
-                      const std::vector<std::uint64_t>& indices,
-                      unsigned parallelism = 0) override;
-
-    /**
-     * Zero-copy wave execution: the LPT partition is computed from the
-     * wave's operand views, each shard receives its item subset of the
-     * *same* WaveBuffer (per-shard staging lists live in recycled
-     * wave-slot storage, so steady state the scheduler allocates
-     * nothing per wave), and shards write products straight into the
-     * wave's disjoint result slots. Failure and faulty-product
-     * recovery follow the indexed path exactly — recovered products
-     * are published into the wave before returning.
+     * of a product that was detected and then recovered exactly.
      */
     sim::BatchResult
     mul_batch_wave(WaveBuffer& wave,
@@ -230,9 +217,9 @@ class ShardedScheduler : public Device
     struct ShardMetrics;
 
     /**
-     * Concurrency note: the batch entry points of every shipped device
-     * are self-contained per call (fresh engine state, atomic
-     * metrics), so wave tasks enter them without shard-level locking.
+     * Concurrency note: the wave entry point of every shipped device
+     * is self-contained per call (fresh engine state, atomic
+     * metrics), so wave tasks enter it without shard-level locking.
      * Only the stateful mul path (SimDevice's persistent core,
      * CheckedDevice's sampling RNG and counters) is serialized by
      * `mutex` — and mul is never submitted to the pool, so a helping
@@ -293,9 +280,9 @@ class ShardedScheduler : public Device
                                  const mpn::Natural& b,
                                  std::uint64_t& injected);
 
-    void check_operands(
-        const std::vector<std::pair<mpn::Natural, mpn::Natural>>& pairs)
-        const;
+    /** Throws camp::InvalidArgument when an operand of @p bits exceeds
+     * the scheduler's base capability (mul and the wave path). */
+    void check_operand_bits(std::uint64_t bits) const;
 
     ShardPolicy policy_;
     std::vector<std::unique_ptr<Shard>> shards_;

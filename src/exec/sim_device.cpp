@@ -1,8 +1,8 @@
 #include "exec/sim_device.hpp"
 
-#include <cstring>
 #include <utility>
 
+#include "exec/analytic_device.hpp"
 #include "exec/wave.hpp"
 #include "support/assert.hpp"
 
@@ -34,27 +34,6 @@ SimDevice::mul(const Natural& a, const Natural& b)
 }
 
 sim::BatchResult
-SimDevice::mul_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    unsigned parallelism)
-{
-    // Validation always on: without faults it asserts exactness
-    // (library bug otherwise); with faults armed mismatching products
-    // are the expected detection path, counted in BatchResult::faulty.
-    sim::BatchEngine engine(config_, /*validate=*/true);
-    return engine.multiply_batch(pairs, parallelism);
-}
-
-sim::BatchResult
-SimDevice::mul_batch_indexed(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    const std::vector<std::uint64_t>& indices, unsigned parallelism)
-{
-    sim::BatchEngine engine(config_, /*validate=*/true);
-    return engine.multiply_batch(pairs, parallelism, &indices);
-}
-
-sim::BatchResult
 SimDevice::mul_batch_wave(WaveBuffer& wave,
                           const std::vector<std::size_t>& items,
                           const std::vector<std::uint64_t>& indices,
@@ -71,23 +50,9 @@ SimDevice::mul_batch_wave(WaveBuffer& wave,
     CAMP_ASSERT(result.products.size() == items.size());
     // The gathered products come out of the simulated core's SRAM;
     // publish them into the wave's result slots (stream-out).
-    for (std::size_t k = 0; k < items.size(); ++k) {
-        const mpn::Natural& product = result.products[k];
-        const std::size_t item = items[k];
-        std::size_t n = product.size();
-        if (n > wave.result_capacity(item)) {
-            // Exact products fit an + bn limbs by construction; only a
-            // fault-corrupted product can overflow, and it is already
-            // counted faulty — clamp (corrupted values carry no
-            // contractual content).
-            CAMP_ASSERT(result.per_product[k].faulty);
-            n = wave.result_capacity(item);
-        }
-        if (n != 0)
-            std::memcpy(wave.result_ptr(item), product.data(),
-                        n * sizeof(mpn::Limb));
-        wave.set_result_size(item, n);
-    }
+    for (std::size_t k = 0; k < items.size(); ++k)
+        wave.set_result(items[k], result.products[k],
+                        result.per_product[k].faulty);
     result.products.clear();
     return result;
 }
@@ -95,13 +60,7 @@ SimDevice::mul_batch_wave(WaveBuffer& wave,
 CostEstimate
 SimDevice::cost(std::uint64_t bits_a, std::uint64_t bits_b) const
 {
-    const sim::CoreStats stats =
-        analytic_.multiply_stats(bits_a, bits_b);
-    CostEstimate estimate;
-    estimate.cycles = static_cast<double>(stats.cycles);
-    estimate.seconds = stats.seconds(config_);
-    estimate.energy_j = energy_.energy(stats, config_);
-    return estimate;
+    return analytic_cost(config_, analytic_, energy_, bits_a, bits_b);
 }
 
 } // namespace camp::exec

@@ -3,7 +3,7 @@
  * SimDevice: the functionally simulated Cambricon-P backend. Base
  * products execute on sim::Core exactly as the hardware would
  * (inner-product transformation, bit-indexed IPUs, carry parallel
- * gathering); batches run on sim::BatchEngine over the shared
+ * gathering); waves run on sim::BatchEngine over the shared
  * PE/IPU fabric. Fault injection armed in the SimConfig flows
  * through unchanged, and the injected-fault count of every operation
  * is reported in its outcome so callers (CheckedDevice, Runtime) can
@@ -41,21 +41,13 @@ class SimDevice : public Device
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
 
-    sim::BatchResult
-    mul_batch(const std::vector<std::pair<mpn::Natural,
-                                          mpn::Natural>>& pairs,
-              unsigned parallelism = 0) override;
-
-    sim::BatchResult
-    mul_batch_indexed(const std::vector<std::pair<mpn::Natural,
-                                                  mpn::Natural>>& pairs,
-                      const std::vector<std::uint64_t>& indices,
-                      unsigned parallelism = 0) override;
-
     /** Wave execution through BatchEngine::multiply_batch_views: the
-     * engine streams operands straight from the wave's limb runs (the
-     * host-side pair materialization of the default path disappears;
-     * the simulated stream-in copy is intrinsic to the model). */
+     * engine streams operands straight from the wave's limb runs (no
+     * host-side pair materialization; the simulated stream-in copy is
+     * intrinsic to the model), each product on the fault stream of its
+     * wave-global seed index. Validation is always on: without faults
+     * it asserts exactness, with faults armed mismatching products are
+     * the expected detection path, counted in BatchResult::faulty. */
     sim::BatchResult
     mul_batch_wave(WaveBuffer& wave,
                    const std::vector<std::size_t>& items,

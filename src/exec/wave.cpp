@@ -81,6 +81,20 @@ WaveBuffer::set_result_size(std::size_t i, std::size_t used)
 }
 
 void
+WaveBuffer::set_result(std::size_t i, const mpn::Natural& product,
+                       bool faulty)
+{
+    std::size_t n = product.size();
+    if (n > items_[i].r_cap) {
+        CAMP_ASSERT(faulty);
+        n = items_[i].r_cap;
+    }
+    if (n != 0)
+        std::memcpy(items_[i].r, product.data(), n * sizeof(Limb));
+    set_result_size(i, n);
+}
+
+void
 WaveBuffer::reset()
 {
     items_.clear();

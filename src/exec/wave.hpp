@@ -102,6 +102,16 @@ class WaveBuffer
      */
     void set_result_size(std::size_t i, std::size_t used);
 
+    /**
+     * Publish @p product (a copy) as item @p i's result. An exact
+     * product always fits the an + bn slot; only a product the device
+     * already flagged @p faulty may overflow it, and that one is
+     * clamped to the slot (corrupted values carry no contractual
+     * content). Disjoint items may be published concurrently.
+     */
+    void set_result(std::size_t i, const mpn::Natural& product,
+                    bool faulty = false);
+
     /** The published product (valid after set_result_size). */
     mpn::LimbView
     result(std::size_t i) const

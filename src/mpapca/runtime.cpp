@@ -47,12 +47,6 @@ runtime_metrics()
 
 } // namespace
 
-const char*
-backend_device_name(Backend backend)
-{
-    return backend == Backend::Cpu ? "cpu" : "sim";
-}
-
 Runtime::Runtime(const std::string& device_name,
                  const sim::SimConfig& config,
                  const SelfCheckPolicy& self_check)
@@ -98,25 +92,10 @@ Runtime::Runtime(const std::string& device_name,
     }
 }
 
-Runtime::Runtime(Backend backend, const sim::SimConfig& config,
-                 const SelfCheckPolicy& self_check)
-    : Runtime(backend_device_name(backend), config, self_check)
-{
-}
-
-Backend
-Runtime::backend() const
-{
-    return device_->kind() == exec::DeviceKind::Host
-               ? Backend::Cpu
-               : Backend::CambriconP;
-}
-
 AppReport
 Runtime::run(const std::string& label, const std::function<void()>& app)
 {
     AppReport report;
-    report.backend = backend();
     report.device = device_->name();
     profile::ProfileSession profile_session;
     auto& profiler = profile::Profiler::instance();

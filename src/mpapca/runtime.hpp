@@ -20,8 +20,7 @@
  *
  * Backends are string-keyed through exec::DeviceRegistry ("cpu",
  * "sim", "analytic", plus anything registered at runtime) with the
- * CAMP_BACKEND environment default; the Backend enum remains as a thin
- * compatibility alias over the two canonical choices.
+ * CAMP_BACKEND environment default.
  */
 #ifndef CAMP_MPAPCA_RUNTIME_HPP
 #define CAMP_MPAPCA_RUNTIME_HPP
@@ -43,21 +42,9 @@ class ShardedScheduler;
 
 namespace camp::mpapca {
 
-/** Which machine executes the kernel operators (compatibility alias
- * over the device registry: Cpu = "cpu", CambriconP = "sim"). */
-enum class Backend
-{
-    Cpu,
-    CambriconP,
-};
-
-/** Registry name of a compatibility backend. */
-const char* backend_device_name(Backend backend);
-
 /** Outcome of one application run. */
 struct AppReport
 {
-    Backend backend = Backend::Cpu;
     std::string device;    ///< registry name of the executing device
     double seconds = 0;    ///< end-to-end app time on this backend
     double energy_j = 0;   ///< energy model for this backend
@@ -97,15 +84,6 @@ class Runtime
     explicit Runtime(const std::string& device_name,
                      const sim::SimConfig& config = sim::default_config(),
                      const SelfCheckPolicy& self_check = SelfCheckPolicy{});
-
-    /** Compatibility entry point: Backend::Cpu = "cpu",
-     * Backend::CambriconP = "sim". */
-    explicit Runtime(Backend backend,
-                     const sim::SimConfig& config = sim::default_config(),
-                     const SelfCheckPolicy& self_check = SelfCheckPolicy{});
-
-    /** Compatibility view of the executing device's kind. */
-    Backend backend() const;
 
     /** The executing device (self-checking wrapper around the registry
      * backend; inner() reaches the wrapped device). */

@@ -5,8 +5,9 @@
  * digit-sliced SoA form (lane = product, vector = one radix-2^32
  * digit column across lanes) and multiplied by one vertical
  * vectorized basecase, amortizing dispatch, allocation, and carry
- * logic across the whole group. This is the exec-plane entry point
- * Device::mul_batch feeds coalesced waves into.
+ * logic across the whole group. The exec plane's host wave path
+ * (CpuDevice::mul_batch_wave) feeds coalesced waves into the raw
+ * driver below.
  */
 #ifndef CAMP_MPN_KERNELS_SOA_HPP
 #define CAMP_MPN_KERNELS_SOA_HPP

@@ -11,6 +11,7 @@
 #define CAMP_MPN_MUL_HPP
 
 #include <cstddef>
+#include <string>
 
 #include "mpn/limb.hpp"
 
@@ -84,9 +85,18 @@ struct MulTuning
 bool mul_tuning_monotone(const MulTuning& tuning);
 
 /**
+ * @p tuning with the environment overrides
+ * `<prefix>{KARATSUBA,TOOM3,TOOM4,TOOM6,SSA,PARALLEL}` (positive limb
+ * counts) applied. Parsing goes through support::env, so a junk,
+ * empty, or out-of-range value throws camp::InvalidArgument naming
+ * the variable instead of being ignored or truncated.
+ */
+MulTuning env_tuning(const std::string& prefix, MulTuning tuning);
+
+/**
  * Active thresholds for the dispatching mul(). First use applies
  * environment overrides CAMP_MUL_THRESH_KARATSUBA / _TOOM3 / _TOOM4 /
- * _TOOM6 / _SSA / _PARALLEL (limb counts), then debug-asserts
+ * _TOOM6 / _SSA / _PARALLEL (env_tuning), then debug-asserts
  * mul_tuning_monotone.
  */
 MulTuning& mul_tuning();

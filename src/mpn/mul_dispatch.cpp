@@ -5,12 +5,12 @@
  * operands — the same threshold-driven policy structure GMP and the
  * paper's MPApca library use (§V-C).
  */
-#include <cstdlib>
 #include <vector>
 
 #include "mpn/basic.hpp"
 #include "mpn/mul.hpp"
 #include "support/assert.hpp"
+#include "support/env.hpp"
 #include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -68,18 +68,23 @@ algo_index(std::size_t n, const MulTuning& t)
     return 5;
 }
 
-/** CAMP_MUL_THRESH_<NAME> override in limbs, if set and >= 1. */
-void
-env_threshold(const char* name, std::size_t& value)
-{
-    if (const char* env = std::getenv(name)) {
-        const long long v = std::strtoll(env, nullptr, 10);
-        if (v >= 1)
-            value = static_cast<std::size_t>(v);
-    }
-}
-
 } // namespace
+
+MulTuning
+env_tuning(const std::string& prefix, MulTuning tuning)
+{
+    const auto apply = [&prefix](const char* field, std::size_t& value) {
+        value = static_cast<std::size_t>(
+            support::env_positive_u64((prefix + field).c_str(), value));
+    };
+    apply("KARATSUBA", tuning.karatsuba);
+    apply("TOOM3", tuning.toom3);
+    apply("TOOM4", tuning.toom4);
+    apply("TOOM6", tuning.toom6);
+    apply("SSA", tuning.ssa);
+    apply("PARALLEL", tuning.parallel);
+    return tuning;
+}
 
 bool
 mul_tuning_monotone(const MulTuning& t)
@@ -92,13 +97,7 @@ MulTuning&
 mul_tuning()
 {
     static MulTuning tuning = [] {
-        MulTuning t;
-        env_threshold("CAMP_MUL_THRESH_KARATSUBA", t.karatsuba);
-        env_threshold("CAMP_MUL_THRESH_TOOM3", t.toom3);
-        env_threshold("CAMP_MUL_THRESH_TOOM4", t.toom4);
-        env_threshold("CAMP_MUL_THRESH_TOOM6", t.toom6);
-        env_threshold("CAMP_MUL_THRESH_SSA", t.ssa);
-        env_threshold("CAMP_MUL_THRESH_PARALLEL", t.parallel);
+        const MulTuning t = env_tuning("CAMP_MUL_THRESH_", MulTuning{});
         CAMP_ASSERT_MSG(mul_tuning_monotone(t),
                         "mul thresholds must satisfy karatsuba < toom3 "
                         "< toom4 < toom6 < ssa (check CAMP_MUL_THRESH_* "

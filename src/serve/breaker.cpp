@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "exec/wave.hpp"
 #include "support/assert.hpp"
 #include "support/errors.hpp"
 #include "support/metrics.hpp"
@@ -132,19 +133,6 @@ BreakerDevice::record_success_locked()
         transition_locked(BreakerState::Closed);
 }
 
-sim::BatchResult
-BreakerDevice::fallback_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs)
-{
-    sim::BatchResult result;
-    result.products.reserve(pairs.size());
-    for (const auto& [a, b] : pairs)
-        result.products.push_back(a * b);
-    result.per_product.resize(pairs.size());
-    result.parallelism = 1;
-    return result;
-}
-
 exec::MulOutcome
 BreakerDevice::mul(const Natural& a, const Natural& b)
 {
@@ -185,33 +173,23 @@ BreakerDevice::mul(const Natural& a, const Natural& b)
 }
 
 sim::BatchResult
-BreakerDevice::mul_batch(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    unsigned parallelism)
+BreakerDevice::mul_batch_wave(exec::WaveBuffer& wave,
+                              const std::vector<std::size_t>& items,
+                              const std::vector<std::uint64_t>& indices,
+                              unsigned parallelism)
 {
-    std::vector<std::uint64_t> indices(pairs.size());
-    for (std::size_t i = 0; i < indices.size(); ++i)
-        indices[i] = i;
-    return mul_batch_indexed(pairs, indices, parallelism);
-}
-
-sim::BatchResult
-BreakerDevice::mul_batch_indexed(
-    const std::vector<std::pair<Natural, Natural>>& pairs,
-    const std::vector<std::uint64_t>& indices, unsigned parallelism)
-{
-    if (pairs.empty())
+    if (items.empty())
         return {};
     bool quarantined = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (state_ == BreakerState::Open) {
-            // This whole batch is served under quarantine; once enough
-            // fallback products have passed, the *next* batch probes.
+            // This whole wave is served under quarantine; once enough
+            // fallback products have passed, the *next* wave probes.
             quarantined = true;
-            stats_.fallback_products += pairs.size();
-            breaker_metrics().fallbacks->add(pairs.size());
-            fallback_since_open_ += pairs.size();
+            stats_.fallback_products += items.size();
+            breaker_metrics().fallbacks->add(items.size());
+            fallback_since_open_ += items.size();
             if (fallback_since_open_ >= policy_.probe_after)
                 transition_locked(BreakerState::HalfOpen);
         } else if (state_ == BreakerState::HalfOpen) {
@@ -219,12 +197,18 @@ BreakerDevice::mul_batch_indexed(
             breaker_metrics().probes->add();
         }
     }
-    if (quarantined)
-        return fallback_batch(pairs);
-
     sim::BatchResult result;
+    if (quarantined) {
+        for (const std::size_t item : items) {
+            const auto [a, b] = wave.operand_pair(item);
+            wave.set_result(item, a * b);
+        }
+        result.per_product.resize(items.size());
+        return result;
+    }
+
     try {
-        result = inner_->mul_batch_indexed(pairs, indices, parallelism);
+        result = inner_->mul_batch_wave(wave, items, indices, parallelism);
     } catch (const InvalidArgument&) {
         throw; // caller error: not a device-health signal
     } catch (const std::exception&) {
@@ -233,7 +217,7 @@ BreakerDevice::mul_batch_indexed(
         throw; // the server's retry policy owns per-product recovery
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    stats_.inner_products += pairs.size();
+    stats_.inner_products += items.size();
     if (result.faulty > 0)
         record_failures_locked(result.faulty);
     else

@@ -92,16 +92,14 @@ class BreakerDevice : public exec::Device
     exec::MulOutcome mul(const mpn::Natural& a,
                          const mpn::Natural& b) override;
 
+    /** Closed/HalfOpen: forwarded to the wrapped device's wave path
+     * (a HalfOpen wave is the probe). Open: the golden products are
+     * written straight into the items' wave slots. */
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<mpn::Natural,
-                                          mpn::Natural>>& pairs,
-              unsigned parallelism = 0) override;
-
-    sim::BatchResult
-    mul_batch_indexed(const std::vector<std::pair<mpn::Natural,
-                                                  mpn::Natural>>& pairs,
-                      const std::vector<std::uint64_t>& indices,
-                      unsigned parallelism = 0) override;
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>& indices,
+                   unsigned parallelism = 0) override;
 
     /** Cost comes from the wrapped device regardless of state, so a
      * virtual-time plan stays stable across quarantine episodes. */
@@ -114,11 +112,6 @@ class BreakerDevice : public exec::Device
     exec::Device& inner() { return *inner_; }
 
   private:
-    /** Serve @p pairs exactly via the golden path while Open. */
-    sim::BatchResult fallback_batch(
-        const std::vector<std::pair<mpn::Natural, mpn::Natural>>&
-            pairs);
-
     void transition_locked(BreakerState next);
     void record_failures_locked(std::uint64_t events);
     void record_success_locked();

@@ -1,6 +1,8 @@
 #include "support/env.hpp"
 
 #include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -19,7 +21,8 @@ bad_value(const char* name, const char* env, const char* expected)
 
 std::uint64_t
 parse_integer(const char* name, std::uint64_t fallback,
-              long long minimum, const char* expected)
+              long long minimum, const char* expected,
+              std::uint64_t maximum = UINT64_MAX)
 {
     const char* env = std::getenv(name);
     if (env == nullptr)
@@ -31,7 +34,8 @@ parse_integer(const char* name, std::uint64_t fallback,
     const long long v = std::strtoll(env, &end, 10);
     // errno catches what the digit scan cannot: a syntactically valid
     // number whose magnitude saturates strtoll (ERANGE).
-    if (end == env || *end != '\0' || errno == ERANGE || v < minimum)
+    if (end == env || *end != '\0' || errno == ERANGE || v < minimum ||
+        static_cast<std::uint64_t>(v) > maximum)
         bad_value(name, env, expected);
     return static_cast<std::uint64_t>(v);
 }
@@ -42,6 +46,13 @@ std::uint64_t
 env_positive_u64(const char* name, std::uint64_t fallback)
 {
     return parse_integer(name, fallback, 1, "a positive integer");
+}
+
+unsigned
+env_positive_unsigned(const char* name, unsigned fallback)
+{
+    return static_cast<unsigned>(parse_integer(
+        name, fallback, 1, "a positive integer below 2^32", UINT_MAX));
 }
 
 std::uint64_t

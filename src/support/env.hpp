@@ -1,11 +1,12 @@
 /**
  * @file
- * Hardened CAMP_* environment parsing. Every serving-layer knob goes
- * through these helpers so misconfiguration is loud: junk, overflow
- * (out of long long range), and *empty* values all throw
- * camp::InvalidArgument naming the offending variable — an empty
- * export is almost always a broken CI substitution, and silently
- * falling back to the default there hides the mistake.
+ * Hardened CAMP_* environment parsing. The serving layer's knobs and
+ * the exec plane's numeric knobs go through these helpers so
+ * misconfiguration is loud: junk, overflow (out of the field's range),
+ * and *empty* values all throw camp::InvalidArgument naming the
+ * offending variable — an empty export is almost always a broken CI
+ * substitution, and silently falling back to the default there hides
+ * the mistake.
  */
 #ifndef CAMP_SUPPORT_ENV_HPP
 #define CAMP_SUPPORT_ENV_HPP
@@ -18,6 +19,10 @@ namespace camp::support {
  * Throws camp::InvalidArgument (naming @p name) on junk, < 1,
  * overflow, or an empty value. */
 std::uint64_t env_positive_u64(const char* name, std::uint64_t fallback);
+
+/** env_positive_u64 for an `unsigned` field: values above UINT_MAX
+ * throw too, instead of wrapping through a narrowing cast. */
+unsigned env_positive_unsigned(const char* name, unsigned fallback);
 
 /** Like env_positive_u64, but 0 is allowed (= disabled). */
 std::uint64_t env_nonnegative_u64(const char* name,

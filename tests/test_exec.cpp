@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,8 +21,11 @@
 #include "exec/device.hpp"
 #include "exec/queue.hpp"
 #include "exec/registry.hpp"
+#include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
+#include "exec/wave.hpp"
 #include "mpapca/runtime.hpp"
+#include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
 #include "support/errors.hpp"
 #include "support/rng.hpp"
@@ -29,7 +33,6 @@
 namespace exec = camp::exec;
 namespace sim = camp::sim;
 using camp::mpn::Natural;
-using camp::mpapca::Backend;
 using camp::mpapca::Runtime;
 
 namespace {
@@ -77,13 +80,16 @@ class FlakyDevice : public exec::Device
     }
 
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              unsigned) override
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>&, unsigned) override
     {
         sim::BatchResult result;
-        for (const auto& [a, b] : pairs)
-            result.products.push_back(a * b);
-        result.per_product.resize(pairs.size());
+        for (const std::size_t item : items) {
+            const auto [a, b] = wave.operand_pair(item);
+            wave.set_result(item, a * b);
+        }
+        result.per_product.resize(items.size());
         return result;
     }
 
@@ -192,6 +198,112 @@ TEST(DeviceTuning, PerDeviceEnvOverridesApply)
     EXPECT_EQ(other.toom3, base.toom3);
     ::unsetenv("CAMP_TESTDEV_MUL_THRESH_TOOM3");
     ::unsetenv("CAMP_TESTDEV_MUL_THRESH_PARALLEL");
+}
+
+namespace {
+
+/** Sets @p name to @p value for one scope, then restores the previous
+ * value (or its absence) — CI legs export CAMP_SHARDS and friends. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char* name, const char* value) : name_(name)
+    {
+        if (const char* old = std::getenv(name)) {
+            had_ = true;
+            old_ = old;
+        }
+        ::setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (had_)
+            ::setenv(name_, old_.c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+  private:
+    const char* name_;
+    bool had_ = false;
+    std::string old_;
+};
+
+/** Each of @p values in @p name must make @p parse throw
+ * camp::InvalidArgument naming the variable. */
+void
+expect_env_rejects(const std::string& name,
+                   const std::vector<const char*>& values,
+                   const std::function<void()>& parse)
+{
+    for (const char* value : values) {
+        const ScopedEnv env(name.c_str(), value);
+        try {
+            parse();
+            ADD_FAILURE() << name << "='" << value
+                          << "' must throw InvalidArgument";
+        } catch (const camp::InvalidArgument& e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << "the error must name the variable: " << e.what();
+        }
+    }
+}
+
+/** Junk every positive numeric knob rejects: not a number, trailing
+ * garbage, set-but-empty, zero, negative, and beyond long long. */
+const std::vector<const char*> kJunkValues = {
+    "abc", "12k", "", "0", "-3", "123456789012345678901234567890"};
+
+const char* const kThreshFields[] = {"KARATSUBA", "TOOM3", "TOOM4",
+                                     "TOOM6",     "SSA",   "PARALLEL"};
+
+} // namespace
+
+TEST(DeviceTuning, PerDeviceEnvRejectsJunkEmptyAndOverflow)
+{
+    for (const char* field : kThreshFields)
+        expect_env_rejects(
+            std::string("CAMP_TESTDEV_MUL_THRESH_") + field, kJunkValues,
+            [] {
+                exec::apply_device_env_tuning("testdev",
+                                              camp::mpn::MulTuning{});
+            });
+    // Thresholds are size_t: a value past 2^32 is valid, not wrapped.
+    const ScopedEnv big("CAMP_TESTDEV_MUL_THRESH_SSA", "4294967297");
+    EXPECT_EQ(exec::apply_device_env_tuning("testdev",
+                                            camp::mpn::MulTuning{})
+                  .ssa,
+              std::size_t{4294967297ull});
+}
+
+TEST(DeviceTuning, GlobalMulThreshEnvRejectsJunkEmptyAndOverflow)
+{
+    for (const char* field : kThreshFields)
+        expect_env_rejects(std::string("CAMP_MUL_THRESH_") + field,
+                           kJunkValues, [] {
+                               camp::mpn::env_tuning(
+                                   "CAMP_MUL_THRESH_",
+                                   camp::mpn::MulTuning{});
+                           });
+    const ScopedEnv ok("CAMP_MUL_THRESH_TOOM3", "100");
+    EXPECT_EQ(camp::mpn::env_tuning("CAMP_MUL_THRESH_",
+                                    camp::mpn::MulTuning{})
+                  .toom3,
+              100u);
+}
+
+TEST(DeviceTuning, ShardEnvRejectsJunkEmptyAndOverflow)
+{
+    for (const char* name : {"CAMP_SHARDS", "CAMP_SHARD_INFLIGHT"}) {
+        const auto parse = [] { exec::shard_policy_from_env(); };
+        expect_env_rejects(name, kJunkValues, parse);
+        // Unsigned fields: past UINT_MAX a narrowing cast would wrap
+        // (4294967297 used to build 1 shard).
+        expect_env_rejects(name, {"4294967296", "4294967297"}, parse);
+    }
+    const ScopedEnv ok("CAMP_SHARDS", "4294967295");
+    EXPECT_EQ(exec::shard_policy_from_env().shards, 4294967295u);
 }
 
 TEST(ExecDevices, FuzzProductsBitIdenticalAcrossBackends)
@@ -497,17 +609,20 @@ class ThrowingBatchDevice : public exec::Device
     }
 
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              unsigned) override
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>&, unsigned) override
     {
         if (fail_remaining_ > 0) {
             --fail_remaining_;
             thrower_();
         }
         sim::BatchResult result;
-        for (const auto& [a, b] : pairs)
-            result.products.push_back(a * b);
-        result.per_product.resize(pairs.size());
+        for (const std::size_t item : items) {
+            const auto [a, b] = wave.operand_pair(item);
+            wave.set_result(item, a * b);
+        }
+        result.per_product.resize(items.size());
         return result;
     }
 
@@ -615,16 +730,18 @@ TEST(SubmitQueue, TakeRethrowsTypedFlushFailure)
 
 TEST(RuntimeExec, StringBackendMatchesEnumBackend)
 {
-    Runtime by_enum(Backend::CambriconP);
+    // Registry names are the one construction path: two runtimes built
+    // from the same name decompose identically.
+    Runtime first("sim");
     Runtime by_name("sim");
     camp::Rng rng(6000);
     const Natural a = Natural::random_bits(rng, 100000);
     const Natural b = Natural::random_bits(rng, 99000);
-    EXPECT_EQ(by_enum.mul_functional(a, b), by_name.mul_functional(a, b));
-    EXPECT_EQ(by_enum.base_products(), by_name.base_products())
-        << "identical decomposition on both construction paths";
-    EXPECT_EQ(by_name.backend(), Backend::CambriconP);
-    EXPECT_EQ(Runtime("cpu").backend(), Backend::Cpu);
+    EXPECT_EQ(first.mul_functional(a, b), by_name.mul_functional(a, b));
+    EXPECT_EQ(first.base_products(), by_name.base_products())
+        << "identical decomposition on both instances";
+    EXPECT_EQ(by_name.device().kind(), exec::DeviceKind::Accelerator);
+    EXPECT_EQ(Runtime("cpu").device().kind(), exec::DeviceKind::Host);
     EXPECT_THROW(Runtime("not-a-backend"), camp::InvalidArgument);
 }
 
@@ -647,7 +764,7 @@ TEST(RuntimeExec, FunctionalMulBitIdenticalAcrossBackends)
 
 TEST(RuntimeExec, MultiplyBatchEdgeCases)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     // Empty batch: a no-op, not a crash.
     const sim::BatchResult empty = runtime.multiply_batch({});
     EXPECT_TRUE(empty.products.empty());
@@ -686,7 +803,7 @@ TEST(RuntimeExec, BatchSerialAndPooledBitIdentical)
     // products AND identical per-product accounting; exercised through
     // the device's explicit parallelism switch so the test is
     // meaningful on any host core count.
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(fuzz_seed(6300));
     std::vector<std::pair<Natural, Natural>> pairs;
     for (int i = 0; i < 12; ++i)

@@ -202,7 +202,7 @@ TEST(ConfigValidation, RejectsNonBuildableHardware)
         mutate(config);
         EXPECT_THROW(sim::validate(config), ConfigError);
         EXPECT_THROW(sim::Core{config}, ConfigError);
-        EXPECT_THROW(Runtime(Backend::CambriconP, config), ConfigError);
+        EXPECT_THROW(Runtime("sim", config), ConfigError);
     };
     expect_rejected([](sim::SimConfig& c) { c.n_pe = 0; });
     expect_rejected([](sim::SimConfig& c) { c.n_ipu = 0; });
@@ -229,7 +229,7 @@ TEST(SelfCheck, ExactProductsAndConsistentLedgerAcrossSeeds)
     // beyond 64K bits, three fixed seeds. mul_functional must stay
     // bit-exact and the ledger must account for every detected fault.
     for (const std::uint64_t seed : {21ull, 22ull, 23ull}) {
-        Runtime runtime(Backend::CambriconP, faulty_config(seed));
+        Runtime runtime("sim", faulty_config(seed));
         EXPECT_TRUE(runtime.self_check().enabled);
         camp::Rng rng(900 + seed);
         for (const std::uint64_t bits : {20000ull, 70000ull}) {
@@ -262,7 +262,7 @@ TEST(SelfCheck, ExhaustedRetryBudgetFallsBackToCpu)
     SelfCheckPolicy policy;
     policy.enabled = true;
     policy.retry_budget = 1;
-    Runtime runtime(Backend::CambriconP, config, policy);
+    Runtime runtime("sim", config, policy);
     camp::Rng rng(1000);
     const Natural a = Natural::random_bits(rng, 120000);
     const Natural b = Natural::random_bits(rng, 110000);
@@ -281,7 +281,7 @@ TEST(SelfCheck, SampledCheckingWithoutFaultsIsFreeOfDetections)
     SelfCheckPolicy policy;
     policy.enabled = true;
     policy.sample_rate = 0.5;
-    Runtime runtime(Backend::CambriconP, sim::default_config(), policy);
+    Runtime runtime("sim", sim::default_config(), policy);
     camp::Rng rng(1100);
     const Natural a = Natural::random_bits(rng, 150000);
     const Natural b = Natural::random_bits(rng, 140000);
@@ -295,7 +295,7 @@ TEST(SelfCheck, SampledCheckingWithoutFaultsIsFreeOfDetections)
 
 TEST(SelfCheck, ReportCarriesFaultCounters)
 {
-    Runtime runtime(Backend::CambriconP, faulty_config(41));
+    Runtime runtime("sim", faulty_config(41));
     camp::Rng rng(1200);
     const Natural a = Natural::random_bits(rng, 50000);
     const Natural b = Natural::random_bits(rng, 50000);

@@ -4,9 +4,10 @@
  * size-class reuse, magazine flush, byte-budget exhaustion, accounting)
  * plus the WaveBuffer lifetime rules, and the differential
  * lifetime/aliasing fuzz — wave construction, in-place reuse, early
- * release, and shard redistribution interleaved while asserting the
- * zero-copy wave path bit-identical to the copying batch path on every
- * backend. Replay any failure with CAMP_FUZZ_SEED.
+ * release, and shard redistribution interleaved while asserting every
+ * backend's wave path against independent references (the mpn
+ * product, sim::BatchEngine, the analytic model). Replay any failure
+ * with CAMP_FUZZ_SEED.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/analytic_device.hpp"
 #include "exec/cpu_device.hpp"
 #include "exec/queue.hpp"
 #include "exec/scheduler.hpp"
@@ -23,6 +25,9 @@
 #include "exec/wave.hpp"
 #include "mpn/natural.hpp"
 #include "mpn/view.hpp"
+#include "serve/breaker.hpp"
+#include "sim/analytic_model.hpp"
+#include "sim/batch.hpp"
 #include "support/arena.hpp"
 #include "support/errors.hpp"
 #include "support/metrics.hpp"
@@ -382,29 +387,54 @@ TEST(MemoryPlaneQueue, PooledWavesResolveExactProducts)
 }
 
 // ---------------------------------------------------------------------
-// Differential lifetime/aliasing fuzz: zero-copy vs copying path
+// Differential lifetime/aliasing fuzz: wave path vs independent oracles
 // ---------------------------------------------------------------------
 
 namespace {
+
+/** What a backend's wave accounting is checked against (products are
+ * always checked against the mpn product). */
+enum class Accounting
+{
+    None,     ///< host products: no simulated accounting
+    Engine,   ///< sim::BatchEngine over the same pairs and seed indices
+    Analytic, ///< sim::AnalyticModel::multiply_stats per product
+};
 
 struct FuzzBackend
 {
     const char* name;
     std::unique_ptr<exec::Device> device;
+    Accounting accounting;
 };
 
 std::vector<FuzzBackend>
 fuzz_backends()
 {
     std::vector<FuzzBackend> backends;
-    backends.push_back({"cpu", std::make_unique<exec::CpuDevice>()});
-    backends.push_back({"sim", std::make_unique<exec::SimDevice>()});
     backends.push_back(
-        {"sharded1", std::make_unique<exec::ShardedScheduler>(
-                         sim::default_config(), never_drain(1))});
+        {"cpu", std::make_unique<exec::CpuDevice>(), Accounting::None});
     backends.push_back(
-        {"sharded4", std::make_unique<exec::ShardedScheduler>(
-                         sim::default_config(), never_drain(4))});
+        {"sim", std::make_unique<exec::SimDevice>(), Accounting::Engine});
+    backends.push_back({"analytic",
+                        std::make_unique<exec::AnalyticDevice>(),
+                        Accounting::Analytic});
+    backends.push_back(
+        {"breaker_cpu",
+         std::make_unique<camp::serve::BreakerDevice>(
+             std::make_unique<exec::CpuDevice>(),
+             camp::serve::BreakerPolicy{}),
+         Accounting::None});
+    backends.push_back(
+        {"sharded1",
+         std::make_unique<exec::ShardedScheduler>(sim::default_config(),
+                                                  never_drain(1)),
+         Accounting::Engine});
+    backends.push_back(
+        {"sharded4",
+         std::make_unique<exec::ShardedScheduler>(sim::default_config(),
+                                                  never_drain(4)),
+         Accounting::Engine});
     return backends;
 }
 
@@ -473,22 +503,43 @@ TEST(MemoryPlaneFuzz, WavePathBitIdenticalToCopyingPathAllBackends)
             const unsigned parallelism =
                 rng.below(2) == 0 ? 0u : 1u;
 
-            const sim::BatchResult ref = backend.device->
-                mul_batch_indexed(pairs, indices, parallelism);
             const sim::BatchResult got = backend.device->mul_batch_wave(
                 wave, items, indices, parallelism);
 
+            // Independent accounting reference for this backend.
+            sim::BatchResult ref;
+            if (backend.accounting == Accounting::Engine) {
+                ref = sim::BatchEngine(sim::default_config(), true)
+                          .multiply_batch(pairs, parallelism, &indices);
+            } else {
+                ref.per_product.resize(pairs.size());
+                if (backend.accounting == Accounting::Analytic) {
+                    const sim::AnalyticModel model(sim::default_config());
+                    for (std::size_t i = 0; i < pairs.size(); ++i) {
+                        const auto& [a, b] = pairs[i];
+                        if (a.is_zero() || b.is_zero())
+                            continue;
+                        const sim::CoreStats per =
+                            model.multiply_stats(a.bits(), b.bits());
+                        ref.per_product[i].tasks = per.tasks;
+                        ref.per_product[i].bytes = per.bytes;
+                        ref.tasks += per.tasks;
+                    }
+                }
+            }
+
             EXPECT_TRUE(got.products.empty());
-            ASSERT_EQ(ref.products.size(), pairs.size());
             ASSERT_EQ(got.per_product.size(), pairs.size());
             for (std::size_t i = 0; i < pairs.size(); ++i) {
-                EXPECT_EQ(wave.result(items[i]),
-                          LimbView(ref.products[i]))
+                const Natural golden = pairs[i].first * pairs[i].second;
+                EXPECT_EQ(wave.result(items[i]), LimbView(golden))
                     << "iter " << iter << " item " << i;
                 EXPECT_TRUE(got.per_product[i] == ref.per_product[i])
                     << "iter " << iter << " item " << i;
             }
-            EXPECT_EQ(got.tasks, ref.tasks);
+            if (backend.accounting != Accounting::None) {
+                EXPECT_EQ(got.tasks, ref.tasks);
+            }
             EXPECT_EQ(got.faulty, ref.faulty);
 
             // Lifetime interleave: recycle, early-release, or keep the
@@ -530,8 +581,9 @@ TEST(MemoryPlaneFuzz, SchedulerWaveRedistributionRecoversExactly)
             return exec::MulOutcome{a * b, 0};
         }
         sim::BatchResult
-        mul_batch(const std::vector<std::pair<Natural, Natural>>&,
-                  unsigned) override
+        mul_batch_wave(exec::WaveBuffer&, const std::vector<std::size_t>&,
+                       const std::vector<std::uint64_t>&,
+                       unsigned) override
         {
             throw camp::HardwareFault("batch fabric offline");
         }

@@ -147,7 +147,7 @@ TEST(Ledger, TableListsChargedOps)
 
 TEST(Runtime, CpuBackendMeasuresWallTime)
 {
-    Runtime runtime(Backend::Cpu);
+    Runtime runtime("cpu");
     camp::Rng rng(122);
     const Natural a = Natural::random_bits(rng, 60000);
     const Natural b = Natural::random_bits(rng, 60000);
@@ -160,13 +160,13 @@ TEST(Runtime, CpuBackendMeasuresWallTime)
     EXPECT_GT(report.seconds, 0.0);
     EXPECT_GT(report.kernel_seconds, 0.0);
     EXPECT_GT(report.energy_j, 0.0);
-    EXPECT_EQ(report.backend, Backend::Cpu);
+    EXPECT_EQ(report.device, "cpu");
 }
 
 TEST(Runtime, CambriconBackendUsesSimulatedKernelTime)
 {
-    Runtime cpu(Backend::Cpu);
-    Runtime accel(Backend::CambriconP);
+    Runtime cpu("cpu");
+    Runtime accel("sim");
     camp::Rng rng(123);
     const Natural a = Natural::random_bits(rng, 30000);
     const Natural b = Natural::random_bits(rng, 30000);
@@ -186,7 +186,7 @@ TEST(Runtime, CambriconBackendUsesSimulatedKernelTime)
 
 TEST(Runtime, FunctionalMulMatchesReferenceWithinCap)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(124);
     const Natural a = Natural::random_bits(rng, 20000);
     const Natural b = Natural::random_bits(rng, 15000);
@@ -196,7 +196,7 @@ TEST(Runtime, FunctionalMulMatchesReferenceWithinCap)
 
 TEST(Runtime, FunctionalMulDecomposesOversizedOperands)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(125);
     // ~100k bits: needs two Karatsuba levels above the 35904-bit cap.
     const Natural a = Natural::random_bits(rng, 100000);
@@ -207,7 +207,7 @@ TEST(Runtime, FunctionalMulDecomposesOversizedOperands)
 
 TEST(Runtime, FunctionalMulBlockPathForSkinnyOperands)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(126);
     const Natural a = Natural::random_bits(rng, 200000);
     const Natural b = Natural::random_bits(rng, 5000);
@@ -217,7 +217,7 @@ TEST(Runtime, FunctionalMulBlockPathForSkinnyOperands)
 
 TEST(Runtime, FunctionalToom3PathForLargeBalancedOperands)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(127);
     // > 6x the monolithic cap and balanced: routes through Toom-3.
     const Natural a = Natural::random_bits(rng, 260000);
@@ -228,7 +228,7 @@ TEST(Runtime, FunctionalToom3PathForLargeBalancedOperands)
 
 TEST(Runtime, FunctionalPathHandlesExtremeImbalance)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(128);
     const Natural a = Natural::random_bits(rng, 300000);
     const Natural b = Natural::random_bits(rng, 40);
@@ -237,7 +237,7 @@ TEST(Runtime, FunctionalPathHandlesExtremeImbalance)
 
 TEST(Runtime, MultiplyBatchFoldsIntoLedger)
 {
-    Runtime runtime(Backend::CambriconP);
+    Runtime runtime("sim");
     camp::Rng rng(129);
     std::vector<std::pair<Natural, Natural>> pairs;
     for (int i = 0; i < 12; ++i)
@@ -258,7 +258,7 @@ TEST(Runtime, MultiplyBatchCountsInjectedFaults)
     camp::sim::SimConfig config = camp::sim::default_config();
     config.faults.seed = 77;
     config.faults.rate_at(camp::FaultSite::IpuAccumulator) = 0.002;
-    Runtime runtime(Backend::CambriconP, config);
+    Runtime runtime("sim", config);
     camp::Rng rng(130);
     std::vector<std::pair<Natural, Natural>> pairs;
     for (int i = 0; i < 24; ++i)

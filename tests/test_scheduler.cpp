@@ -21,6 +21,7 @@
 #include "exec/registry.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
+#include "exec/wave.hpp"
 #include "mpapca/runtime.hpp"
 #include "mpn/natural.hpp"
 #include "support/errors.hpp"
@@ -111,8 +112,8 @@ class ThrowingBatchDevice : public exec::Device
     }
 
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<Natural, Natural>>&,
-              unsigned) override
+    mul_batch_wave(exec::WaveBuffer&, const std::vector<std::size_t>&,
+                   const std::vector<std::uint64_t>&, unsigned) override
     {
         throw std::runtime_error("batch fabric offline");
     }
@@ -141,12 +142,14 @@ class ThrowingMulDevice : public exec::Device
     }
 
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              unsigned) override
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>&, unsigned) override
     {
         sim::BatchResult result;
-        for (const auto& [a, b] : pairs) {
-            result.products.push_back(a * b);
+        for (const std::size_t item : items) {
+            const auto [a, b] = wave.operand_pair(item);
+            wave.set_result(item, a * b);
             result.per_product.push_back({});
         }
         return result;

@@ -21,6 +21,7 @@
 #include "exec/cpu_device.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
+#include "exec/wave.hpp"
 #include "mpapca/cost_model.hpp"
 #include "mpapca/ledger.hpp"
 #include "mpn/natural.hpp"
@@ -77,16 +78,18 @@ class FaultyBatchDevice : public exec::Device
     }
 
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              unsigned) override
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>&, unsigned) override
     {
         sim::BatchResult result;
-        result.per_product.resize(pairs.size());
+        result.per_product.resize(items.size());
         const bool sick = sick_remaining_ > 0;
         if (sick)
             --sick_remaining_;
-        for (std::size_t i = 0; i < pairs.size(); ++i) {
-            Natural product = pairs[i].first * pairs[i].second;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            const auto [a, b] = wave.operand_pair(items[i]);
+            Natural product = a * b;
             if (sick) {
                 product = product + Natural(1);
                 result.per_product[i].faulty = true;
@@ -94,7 +97,7 @@ class FaultyBatchDevice : public exec::Device
                 ++result.faulty;
                 ++result.injected;
             }
-            result.products.push_back(std::move(product));
+            wave.set_result(items[i], product, sick);
         }
         return result;
     }
@@ -135,17 +138,20 @@ class HealingThrowDevice : public exec::Device
     }
 
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              unsigned) override
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>&, unsigned) override
     {
         if (throw_remaining_ > 0) {
             --throw_remaining_;
             thrower_();
         }
         sim::BatchResult result;
-        for (const auto& [a, b] : pairs)
-            result.products.push_back(a * b);
-        result.per_product.resize(pairs.size());
+        for (const std::size_t item : items) {
+            const auto [a, b] = wave.operand_pair(item);
+            wave.set_result(item, a * b);
+        }
+        result.per_product.resize(items.size());
         return result;
     }
 
@@ -814,8 +820,9 @@ TEST(Breaker, SingleProductPathGoldenChecksAndIsolates)
             return exec::MulOutcome{a * b + Natural(1), 1};
         }
         sim::BatchResult
-        mul_batch(const std::vector<std::pair<Natural, Natural>>&,
-                  unsigned) override
+        mul_batch_wave(exec::WaveBuffer&, const std::vector<std::size_t>&,
+                       const std::vector<std::uint64_t>&,
+                       unsigned) override
         {
             return {};
         }

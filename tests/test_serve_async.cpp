@@ -24,6 +24,7 @@
 #include "exec/queue.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
+#include "exec/wave.hpp"
 #include "mpapca/cost_model.hpp"
 #include "mpapca/ledger.hpp"
 #include "mpn/natural.hpp"
@@ -625,18 +626,20 @@ class SickThenHealedDevice : public exec::Device
     }
 
     sim::BatchResult
-    mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              unsigned) override
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>&, unsigned) override
     {
         if (sick_ > 0) {
             --sick_;
             throw camp::HardwareFault("sick batch");
         }
         sim::BatchResult result;
-        result.products.reserve(pairs.size());
-        for (const auto& [a, b] : pairs)
-            result.products.push_back(a * b);
-        result.per_product.resize(pairs.size());
+        for (const std::size_t item : items) {
+            const auto [a, b] = wave.operand_pair(item);
+            wave.set_result(item, a * b);
+        }
+        result.per_product.resize(items.size());
         result.parallelism = 1;
         return result;
     }
