@@ -152,9 +152,9 @@ main()
     {
         // Microbench of the dispatched primitives against the scalar
         // reference on the same buffers. The gated win lives here:
-        // add_n/sub_n are the carry-select movemask kernels (the
-        // multiply-family slots deliberately stay scalar on hosts
-        // where pmuludq loses to mulx — see DESIGN.md).
+        // add_n/sub_n are the carry-select movemask kernels. The
+        // multiply-by-limb family has no table slot (pmuludq loses to
+        // mulx, so it always runs scalar — see DESIGN.md §13).
         const kernels::KernelTable& scal = kernels::scalar_table();
         const kernels::KernelTable& act = kernels::active();
         const std::size_t n = 4096;

@@ -8,8 +8,9 @@
 #     suite also runs through the multi-device scheduler's
 #     single-shard and fanned-out paths, then at CAMP_SIMD=scalar and
 #     CAMP_SIMD=avx2 (skipped with a notice when the host lacks AVX2)
-#     so every tier of the dispatched limb kernels runs the full suite
-#     and results stay bit-identical across tiers, and at
+#     so both tiers of the dispatched limb kernels (scalar and avx2,
+#     the only two) run the full suite and results stay bit-identical
+#     across them, and at
 #     CAMP_OPCACHE=0 and =1 so the operand-digest inverse cache's
 #     hit path provably never changes a result;
 #  2. perf-regression gate: perf_smoke and batch_throughput vs
@@ -29,7 +30,9 @@
 #     run with every CAMP_* variable stripped under `timeout 600`;
 #  3. address+undefined-sanitizer build + ctest — this includes
 #     test_simd_kernels, so the vector kernels' scratch/tail handling
-#     runs under ASan/UBSan every CI pass — followed by a dedicated
+#     runs under ASan/UBSan every CI pass; CAMP_SANITIZE adds
+#     -fno-sanitize-recover=undefined, so a UBSan finding fails its
+#     test instead of printing and continuing — followed by a dedicated
 #     memory-plane leg (test_memory_plane, test_scheduler, test_exec,
 #     and the wave writers test_serve and test_serve_async — the
 #     breaker's quarantine writes wave slots directly — with

@@ -7,15 +7,22 @@
 
 namespace camp::mpn {
 
+// n == 0 returns early: callers may pass a null run then, and
+// memset/memmove require non-null pointers even for a zero length.
+
 void
 zero(Limb* rp, std::size_t n)
 {
+    if (n == 0)
+        return;
     std::memset(rp, 0, n * sizeof(Limb));
 }
 
 void
 copy(Limb* rp, const Limb* ap, std::size_t n)
 {
+    if (n == 0)
+        return;
     std::memmove(rp, ap, n * sizeof(Limb));
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * AVX2 tier: 4x64-bit lanes. Three kernel families:
+ * AVX2 tier: 4x64-bit lanes. Two kernel families:
  *
  *  - add_n / sub_n: lanewise add plus the movemask carry-select
  *    trick — generate/propagate bits are extracted to a 4-bit mask,
@@ -8,12 +8,6 @@
  *    (C = (P + (G<<1|cin)) ^ P), and the per-lane carries are
  *    re-injected from a 16-entry vector table. This replaces the
  *    per-limb flag chain with one short scalar op per 4 limbs.
- *
- *  - mul_1 / addmul_1 / submul_1: two-pass split-radix scheme. Pass 1
- *    assembles the 128-bit products a[i]*b lanewise from four
- *    32x32->64 vpmuludq partials into lo/hi scratch arrays (no carry
- *    chain at all); pass 2 is a single scalar fold of
- *    rp[i] (+/-)= lo[i] + hi[i-1] with the usual ripple.
  *
  *  - mul_basecase / soa_vertical: the reduced-radix carry-save
  *    kernels. Operands are expanded to radix-2^32 digits; every
@@ -39,7 +33,6 @@
 #include <algorithm>
 
 #include "support/assert.hpp"
-#include "support/bits.hpp"
 #include "support/thread_pool.hpp"
 
 namespace camp::mpn::kernels {
@@ -95,44 +88,6 @@ lane_mask(__m256i v)
 {
     return static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_castsi256_pd(v)));
-}
-
-/**
- * Pass 1 of the split-radix multiply: lo[i]/hi[i] = the 128-bit
- * product ap[i] * b, for i in [0, n4) with n4 a multiple of 4.
- */
-inline void
-mul_lohi(const Limb* ap, std::size_t n4, Limb b, Limb* lo, Limb* hi)
-{
-    const __m256i m32 = _mm256_set1_epi64x(0xffffffffLL);
-    const __m256i vb0 =
-        _mm256_set1_epi64x(static_cast<long long>(b & 0xffffffffULL));
-    const __m256i vb1 =
-        _mm256_set1_epi64x(static_cast<long long>(b >> 32));
-    for (std::size_t i = 0; i < n4; i += 4) {
-        const __m256i va = loadu(ap + i);
-        const __m256i alo = _mm256_and_si256(va, m32);
-        const __m256i ahi = _mm256_srli_epi64(va, 32);
-        const __m256i ll = _mm256_mul_epu32(alo, vb0);
-        const __m256i lh = _mm256_mul_epu32(alo, vb1);
-        const __m256i hl = _mm256_mul_epu32(ahi, vb0);
-        const __m256i hh = _mm256_mul_epu32(ahi, vb1);
-        // product = ll + 2^32*(lh + hl) + 2^64*hh; lh + hl may carry
-        // into bit 64 (worth 2^96), and folding the mid word into ll
-        // may carry into bit 64 too.
-        const __m256i mid = _mm256_add_epi64(lh, hl);
-        const __m256i midc =
-            _mm256_slli_epi64(_mm256_srli_epi64(lt_u64(mid, lh), 63),
-                              32);
-        const __m256i vlo =
-            _mm256_add_epi64(ll, _mm256_slli_epi64(mid, 32));
-        const __m256i c2 = lt_u64(vlo, ll); // all-ones == -1
-        __m256i vhi = _mm256_add_epi64(hh, _mm256_srli_epi64(mid, 32));
-        vhi = _mm256_add_epi64(vhi, midc);
-        vhi = _mm256_sub_epi64(vhi, c2);
-        storeu(lo + i, vlo);
-        storeu(hi + i, vhi);
-    }
 }
 
 } // namespace
@@ -201,99 +156,6 @@ avx2_sub_n(Limb* rp, const Limb* ap, const Limb* bp, std::size_t n)
         const Limb r = d - borrow;
         borrow = b1 | (d < borrow);
         rp[i] = r;
-    }
-    return borrow;
-}
-
-Limb
-avx2_mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
-{
-    if (n < kVecMinLimbs)
-        return scalar_mul_1(rp, ap, n, b);
-    const std::size_t n4 = n & ~std::size_t{3};
-    support::ScratchFrame frame;
-    Limb* lo = frame.alloc(2 * n4);
-    Limb* hi = lo + n4;
-    mul_lohi(ap, n4, b, lo, hi);
-    Limb carry = 0;
-    Limb hprev = 0;
-    for (std::size_t i = 0; i < n4; ++i) {
-        const u128 t = static_cast<u128>(lo[i]) + hprev + carry;
-        rp[i] = static_cast<Limb>(t);
-        carry = static_cast<Limb>(t >> 64);
-        hprev = hi[i];
-    }
-    carry += hprev;
-    for (std::size_t i = n4; i < n; ++i) {
-        const u128 p = static_cast<u128>(ap[i]) * b + carry;
-        rp[i] = static_cast<Limb>(p);
-        carry = static_cast<Limb>(p >> 64);
-    }
-    return carry;
-}
-
-Limb
-avx2_addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
-{
-    if (n < kVecMinLimbs)
-        return scalar_addmul_1(rp, ap, n, b);
-    const std::size_t n4 = n & ~std::size_t{3};
-    support::ScratchFrame frame;
-    Limb* lo = frame.alloc(2 * n4);
-    Limb* hi = lo + n4;
-    mul_lohi(ap, n4, b, lo, hi);
-    Limb carry = 0;
-    Limb hprev = 0;
-    for (std::size_t i = 0; i < n4; ++i) {
-        const u128 t =
-            static_cast<u128>(rp[i]) + lo[i] + hprev + carry;
-        rp[i] = static_cast<Limb>(t);
-        carry = static_cast<Limb>(t >> 64);
-        hprev = hi[i];
-    }
-    carry += hprev;
-    for (std::size_t i = n4; i < n; ++i) {
-        const u128 p = static_cast<u128>(ap[i]) * b + rp[i] + carry;
-        rp[i] = static_cast<Limb>(p);
-        carry = static_cast<Limb>(p >> 64);
-    }
-    return carry;
-}
-
-Limb
-avx2_submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
-{
-    if (n < kVecMinLimbs)
-        return scalar_submul_1(rp, ap, n, b);
-    const std::size_t n4 = n & ~std::size_t{3};
-    support::ScratchFrame frame;
-    Limb* lo = frame.alloc(2 * n4);
-    Limb* hi = lo + n4;
-    mul_lohi(ap, n4, b, lo, hi);
-    // Fold the product digit stream (m = lo[i] + hi[i-1] with its own
-    // ripple) and the subtraction borrow chain in one pass; the final
-    // borrow hi[n4-1] + c + borrow is exact (bounded by B - 1).
-    Limb c = 0;
-    Limb hprev = 0;
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n4; ++i) {
-        const u128 t = static_cast<u128>(lo[i]) + hprev + c;
-        const Limb m = static_cast<Limb>(t);
-        c = static_cast<Limb>(t >> 64);
-        hprev = hi[i];
-        const Limb r = rp[i];
-        const Limb d = r - m;
-        const Limb b1 = r < m;
-        rp[i] = d - borrow;
-        borrow = b1 | (d < borrow);
-    }
-    borrow += hprev + c;
-    for (std::size_t i = n4; i < n; ++i) {
-        const u128 p = static_cast<u128>(ap[i]) * b + borrow;
-        const Limb lo_limb = static_cast<Limb>(p);
-        borrow =
-            static_cast<Limb>(p >> 64) + (rp[i] < lo_limb);
-        rp[i] -= lo_limb;
     }
     return borrow;
 }
@@ -471,15 +333,9 @@ avx2_table()
         KernelTable t;
         t.tier = Tier::Avx2;
         t.name = "avx2";
-        // Vectorize where it wins (measured on Skylake-class cores):
-        // add_n/sub_n ~2.5x and the SoA vertical kernel 1.2-1.5x are
-        // clear wins; the two-pass split-radix mul_1/addmul_1/submul_1
-        // lose to the scalar mulx chain (0.4-0.6x) so those slots stay
-        // scalar, and the column basecase only takes over above its
-        // internal ~48-limb crossover (scalar below).
-        t.mul_1 = scalar_mul_1;
-        t.addmul_1 = scalar_addmul_1;
-        t.submul_1 = scalar_submul_1;
+        // Measured on Skylake-class cores: add_n/sub_n ~2.5x and the
+        // SoA vertical kernel 1.2-1.5x; the column basecase only takes
+        // over above its internal ~48-limb crossover (scalar below).
         t.add_n = avx2_add_n;
         t.sub_n = avx2_sub_n;
         t.mul_basecase = avx2_mul_basecase;

@@ -1,13 +1,13 @@
 /**
  * @file
  * Kernel tier selection: cpuid probe + CAMP_SIMD override, resolved
- * once on first use into an atomic table pointer. The probe order is
- * widest-first (avx2 > sse4 > scalar); an explicit CAMP_SIMD request
- * for a tier the host cannot run logs a notice to stderr and falls
- * back to scalar rather than silently running a different tier.
+ * once on first use into an atomic table pointer. The probe picks
+ * avx2 when the host has it, else scalar; an explicit CAMP_SIMD
+ * request for a tier the host cannot run logs a notice to stderr and
+ * falls back to scalar rather than silently running a different tier.
  * The selected tier is exported as the "mpn.simd.tier" gauge
- * (0 = scalar, 1 = sse4, 2 = avx2) so traces and bench output can
- * attribute numbers to the code actually executed.
+ * (0 = scalar, 2 = avx2) so traces and bench output can attribute
+ * numbers to the code actually executed.
  */
 #include "mpn/kernels/internal.hpp"
 
@@ -21,24 +21,6 @@
 namespace camp::mpn::kernels {
 
 namespace {
-
-bool
-cpu_has(Tier tier)
-{
-#if CAMP_KERNELS_X86
-    switch (tier) {
-    case Tier::Scalar:
-        return true;
-    case Tier::Sse4:
-        return __builtin_cpu_supports("sse4.2");
-    case Tier::Avx2:
-        return __builtin_cpu_supports("avx2");
-    }
-    return false;
-#else
-    return tier == Tier::Scalar;
-#endif
-}
 
 void
 publish_tier(const KernelTable* table)
@@ -55,32 +37,23 @@ probe()
     if (env && *env && std::strcmp(env, "auto") != 0) {
         const KernelTable* requested = nullptr;
         if (std::strcmp(env, "avx2") == 0)
-            requested = host_supports(Tier::Avx2) ? avx2_table()
-                                                  : nullptr;
-        else if (std::strcmp(env, "sse4") == 0)
-            requested = host_supports(Tier::Sse4) ? sse4_table()
-                                                  : nullptr;
+            requested = table_for(Tier::Avx2);
         else if (std::strcmp(env, "scalar") == 0)
             requested = &scalar_table();
         else
             std::fprintf(stderr,
                          "camp: unknown CAMP_SIMD=\"%s\" "
-                         "(want auto|avx2|sse4|scalar); "
+                         "(want auto|avx2|scalar); "
                          "using scalar kernels\n",
                          env);
-        if (!requested && (std::strcmp(env, "avx2") == 0 ||
-                           std::strcmp(env, "sse4") == 0))
+        if (!requested && std::strcmp(env, "avx2") == 0)
             std::fprintf(stderr,
                          "camp: CAMP_SIMD=%s requested but host lacks "
                          "the ISA; falling back to scalar kernels\n",
                          env);
         return requested ? requested : &scalar_table();
     }
-    if (const KernelTable* t =
-            host_supports(Tier::Avx2) ? avx2_table() : nullptr)
-        return t;
-    if (const KernelTable* t =
-            host_supports(Tier::Sse4) ? sse4_table() : nullptr)
+    if (const KernelTable* t = table_for(Tier::Avx2))
         return t;
     return &scalar_table();
 }
@@ -100,8 +73,6 @@ tier_name(Tier tier)
     switch (tier) {
     case Tier::Scalar:
         return "scalar";
-    case Tier::Sse4:
-        return "sse4";
     case Tier::Avx2:
         return "avx2";
     }
@@ -111,7 +82,17 @@ tier_name(Tier tier)
 bool
 host_supports(Tier tier)
 {
-    return cpu_has(tier);
+#if CAMP_KERNELS_X86
+    switch (tier) {
+    case Tier::Scalar:
+        return true;
+    case Tier::Avx2:
+        return __builtin_cpu_supports("avx2");
+    }
+    return false;
+#else
+    return tier == Tier::Scalar;
+#endif
 }
 
 const KernelTable*
@@ -120,8 +101,6 @@ table_for(Tier tier)
     switch (tier) {
     case Tier::Scalar:
         return &scalar_table();
-    case Tier::Sse4:
-        return host_supports(Tier::Sse4) ? sse4_table() : nullptr;
     case Tier::Avx2:
         return host_supports(Tier::Avx2) ? avx2_table() : nullptr;
     }

@@ -1,18 +1,20 @@
 /**
  * @file
  * Cross-TU declarations for the kernel tiers: the scalar reference
- * kernels (used directly by the scalar table and as tails / fallback
- * slots by the SIMD tiers) and the per-ISA kernel sets. Nothing here
- * is public API — include mpn/kernels/kernels.hpp instead.
+ * kernels (used by the scalar table, as the AVX2 basecase's fallback
+ * below its crossover, and called directly by mpn's mul_1 family,
+ * which has no table slot) and the AVX2 kernel set. Nothing here is
+ * public API outside src/mpn — include mpn/kernels/kernels.hpp
+ * instead.
  */
 #ifndef CAMP_MPN_KERNELS_INTERNAL_HPP
 #define CAMP_MPN_KERNELS_INTERNAL_HPP
 
 #include "mpn/kernels/kernels.hpp"
 
-// The SIMD translation units are compiled with per-file target flags
-// (-msse4.2 / -mavx2) on x86-64 only; everywhere else they compile to
-// empty tables and dispatch stays scalar.
+// The AVX2 translation unit is compiled with a per-file -mavx2 on
+// x86-64 only; everywhere else it compiles to an empty table and
+// dispatch stays scalar.
 #if defined(__x86_64__) || defined(_M_X64)
 #define CAMP_KERNELS_X86 1
 #else
@@ -32,26 +34,10 @@ void scalar_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
                          const Limb* bp, std::size_t bn);
 
 #if CAMP_KERNELS_X86
-Limb sse4_add_n(Limb* rp, const Limb* ap, const Limb* bp,
-                std::size_t n);
-Limb sse4_sub_n(Limb* rp, const Limb* ap, const Limb* bp,
-                std::size_t n);
-Limb sse4_mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb sse4_addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb sse4_submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-void sse4_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
-                       const Limb* bp, std::size_t bn);
-void sse4_soa_vertical(std::uint64_t* acc_lo, std::uint64_t* acc_hi,
-                       const std::uint64_t* da, std::size_t nda,
-                       const std::uint64_t* db, std::size_t ndb);
-
 Limb avx2_add_n(Limb* rp, const Limb* ap, const Limb* bp,
                 std::size_t n);
 Limb avx2_sub_n(Limb* rp, const Limb* ap, const Limb* bp,
                 std::size_t n);
-Limb avx2_mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb avx2_addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
-Limb avx2_submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b);
 void avx2_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
                        const Limb* bp, std::size_t bn);
 void avx2_soa_vertical(std::uint64_t* acc_lo, std::uint64_t* acc_hi,

@@ -1,21 +1,25 @@
 /**
  * @file
  * Runtime-dispatched SIMD limb kernels (ROADMAP item 2): the inner
- * primitives of the mpn layer — mul_1 / addmul_1 / submul_1 / add_n /
- * sub_n and the schoolbook basecase — behind a cpuid-probed dispatch
+ * primitives of the mpn layer — add_n / sub_n, the schoolbook
+ * basecase and the SoA batch kernel — behind a cpuid-probed dispatch
  * table with the scalar code as mandatory fallback.
  *
  * Tiers
  *  - scalar: the portable reference loops (always present, always the
  *    correctness oracle for the differential tests);
- *  - sse4:   128-bit SSE4.2 kernels (2 lanes of 64);
  *  - avx2:   256-bit AVX2 kernels (4 lanes of 64).
  *
  * Selection: the first call to active() probes the host CPU and picks
- * the widest supported tier; `CAMP_SIMD={auto,avx2,sse4,scalar}`
- * overrides (an unsupported explicit request logs a notice to stderr
- * and falls back to scalar, so a pinned CI leg never silently runs a
- * different tier than it printed).
+ * the widest supported tier; `CAMP_SIMD={auto,avx2,scalar}` overrides
+ * (an unsupported explicit request logs a notice to stderr and falls
+ * back to scalar, so a pinned CI leg never silently runs a different
+ * tier than it printed).
+ *
+ * mul_1 / addmul_1 / submul_1 have no slot: vector versions measured
+ * 0.31-0.56x of the scalar mulx chain, so the mpn entry points call
+ * the scalar loops directly. A tier that measures a win for one of
+ * them re-adds its slot.
  *
  * Representation: the SIMD multiply kernels internally use a
  * reduced-radix carry-save form — the operands are expanded into
@@ -36,15 +40,17 @@
 
 namespace camp::mpn::kernels {
 
-/** SIMD capability tiers, ordered by preference. */
+/**
+ * SIMD capability tiers, ordered by preference. The values are
+ * published (mpn.simd.tier gauge, bench rows), so they stay fixed.
+ */
 enum class Tier : int
 {
     Scalar = 0,
-    Sse4 = 1,
     Avx2 = 2,
 };
 
-/** "scalar", "sse4", "avx2". */
+/** "scalar", "avx2". */
 const char* tier_name(Tier tier);
 
 /**
@@ -59,9 +65,6 @@ struct KernelTable
     Tier tier = Tier::Scalar;
     const char* name = "scalar";
 
-    Limb (*mul_1)(Limb*, const Limb*, std::size_t, Limb) = nullptr;
-    Limb (*addmul_1)(Limb*, const Limb*, std::size_t, Limb) = nullptr;
-    Limb (*submul_1)(Limb*, const Limb*, std::size_t, Limb) = nullptr;
     Limb (*add_n)(Limb*, const Limb*, const Limb*,
                   std::size_t) = nullptr;
     Limb (*sub_n)(Limb*, const Limb*, const Limb*,
@@ -77,7 +80,7 @@ struct KernelTable
      * carry-save column accumulators, (nda + ndb) columns each,
      * zero-initialized by the caller; column k of the exact product
      * is accLo[k] + accHi[k - 1] plus the ripple carry (resolved by
-     * kernels::soa_mul_batch).
+     * kernels::soa_mul_batch_raw).
      */
     std::size_t soa_width = 0;
     void (*soa_vertical)(std::uint64_t* acc_lo, std::uint64_t* acc_hi,
@@ -89,8 +92,7 @@ struct KernelTable
 /** The scalar reference table (always available). */
 const KernelTable& scalar_table();
 
-/** Tier tables; nullptr when the build lacks the ISA (non-x86). */
-const KernelTable* sse4_table();
+/** The AVX2 table; nullptr when the build lacks the ISA (non-x86). */
 const KernelTable* avx2_table();
 
 /** True when the running host can execute @p tier. */

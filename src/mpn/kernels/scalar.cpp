@@ -3,7 +3,8 @@
  * Scalar reference kernels — the exact loops the mpn layer shipped
  * with before the dispatch table existed, moved here verbatim so they
  * remain the mandatory fallback tier and the oracle every SIMD tier
- * is differentially fuzzed against.
+ * is differentially fuzzed against. mul_1 / addmul_1 / submul_1 have
+ * no table slot; mpn calls them directly.
  */
 #include "mpn/kernels/internal.hpp"
 
@@ -97,9 +98,6 @@ scalar_table()
         KernelTable t;
         t.tier = Tier::Scalar;
         t.name = "scalar";
-        t.mul_1 = scalar_mul_1;
-        t.addmul_1 = scalar_addmul_1;
-        t.submul_1 = scalar_submul_1;
         t.add_n = scalar_add_n;
         t.sub_n = scalar_sub_n;
         t.mul_basecase = scalar_mul_basecase;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "mpn/kernels/kernels.hpp"
 #include "mpn/mul.hpp"
@@ -84,107 +85,7 @@ soa_group_core(const KernelTable& table, std::size_t an, std::size_t bn,
         CAMP_ASSERT(carry[lane] == 0 && hi_prev[lane] == 0);
 }
 
-/**
- * Natural-facing wrapper: allocate each lane's result vector (counted
- * in mpn.alloc.count like any product buffer), run the shared group
- * core, and hand the vectors to the output Naturals. idx[0..W) are
- * indices into pairs/out; every pair has the same (an, bn) shape.
- */
-void
-soa_group(const KernelTable& table, const std::size_t* idx,
-          std::size_t an, std::size_t bn,
-          const std::pair<Natural, Natural>* pairs, Natural* out)
-{
-    const std::size_t w = table.soa_width;
-    CAMP_ASSERT(w <= 8);
-    const Limb* aps[8];
-    const Limb* bps[8];
-    Limb* rps[8];
-    std::vector<std::vector<Limb>> limbs(w);
-    for (std::size_t lane = 0; lane < w; ++lane) {
-        const auto& pr = pairs[idx[lane]];
-        const bool swap = pr.first.size() < pr.second.size();
-        const Natural& a = swap ? pr.second : pr.first;
-        const Natural& b = swap ? pr.first : pr.second;
-        CAMP_ASSERT(a.size() == an && b.size() == bn);
-        aps[lane] = a.data();
-        bps[lane] = b.data();
-        limbs[lane].resize(an + bn);
-        rps[lane] = limbs[lane].data();
-    }
-    support::metrics::counter("mpn.alloc.count").add(w);
-    soa_group_core(table, an, bn, aps, bps, rps);
-    for (std::size_t lane = 0; lane < w; ++lane)
-        out[idx[lane]] = Natural::from_limbs(std::move(limbs[lane]));
-}
-
 } // namespace
-
-std::size_t
-soa_mul_batch(const std::pair<Natural, Natural>* pairs,
-              std::size_t count, Natural* out)
-{
-    const KernelTable& table = active();
-    const std::size_t w = table.soa_width;
-
-    // Shape-sorted index order; ineligible pairs get the sentinel key
-    // and collect at the end for the per-product path.
-    constexpr std::uint64_t kIneligible = ~std::uint64_t{0};
-    std::vector<std::pair<std::uint64_t, std::size_t>> order;
-    order.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t an =
-            std::max(pairs[i].first.size(), pairs[i].second.size());
-        const std::size_t bn =
-            std::min(pairs[i].first.size(), pairs[i].second.size());
-        const bool eligible = w != 0 && table.soa_vertical != nullptr &&
-                              bn >= 1 && an <= kSoaMaxLimbs;
-        order.emplace_back(eligible ? (static_cast<std::uint64_t>(an)
-                                       << 32) |
-                                          bn
-                                    : kIneligible,
-                           i);
-    }
-    std::sort(order.begin(), order.end());
-
-    std::size_t via_soa = 0;
-    std::size_t pos = 0;
-    while (pos < count) {
-        const std::uint64_t key = order[pos].first;
-        std::size_t end = pos;
-        while (end < count && order[end].first == key)
-            ++end;
-        if (key != kIneligible) {
-            const std::size_t an = key >> 32;
-            const std::size_t bn = key & 0xffffffffULL;
-            std::size_t idx[8]; // soa_width is 2 or 4 today
-            CAMP_ASSERT(w <= 8);
-            while (pos + w <= end) {
-                for (std::size_t lane = 0; lane < w; ++lane)
-                    idx[lane] = order[pos + lane].second;
-                soa_group(table, idx, an, bn, pairs, out);
-                via_soa += w;
-                pos += w;
-            }
-        }
-        // Remainder lanes and ineligible pairs: per-product path.
-        for (; pos < end; ++pos) {
-            const std::size_t i = order[pos].second;
-            out[i] = pairs[i].first * pairs[i].second;
-        }
-    }
-    if (via_soa)
-        support::metrics::counter("mpn.soa.products").add(via_soa);
-    return via_soa;
-}
-
-std::size_t
-soa_mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              std::vector<Natural>& out)
-{
-    CAMP_ASSERT(out.size() == pairs.size());
-    return soa_mul_batch(pairs.data(), pairs.size(), out.data());
-}
 
 std::size_t
 soa_mul_batch_raw(SoaItem* items, std::size_t count)
@@ -267,6 +168,30 @@ soa_mul_batch_raw(SoaItem* items, std::size_t count)
     }
     if (via_soa)
         support::metrics::counter("mpn.soa.products").add(via_soa);
+    return via_soa;
+}
+
+std::size_t
+soa_mul_batch(const std::pair<Natural, Natural>* pairs,
+              std::size_t count, Natural* out)
+{
+    std::vector<std::vector<Limb>> limbs(count);
+    std::vector<SoaItem> items(count);
+    std::size_t allocs = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const Natural& a = pairs[i].first;
+        const Natural& b = pairs[i].second;
+        items[i] = {a.data(), a.size(), b.data(), b.size()};
+        if (a.is_zero() || b.is_zero())
+            continue; // zero product: needs no slot
+        limbs[i].resize(a.size() + b.size());
+        items[i].rp = limbs[i].data();
+        ++allocs;
+    }
+    support::metrics::counter("mpn.alloc.count").add(allocs);
+    const std::size_t via_soa = soa_mul_batch_raw(items.data(), count);
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = Natural::from_limbs(std::move(limbs[i]));
     return via_soa;
 }
 

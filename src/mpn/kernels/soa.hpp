@@ -8,13 +8,13 @@
  * logic across the whole group. The exec plane's host wave path
  * (CpuDevice::mul_batch_wave) feeds coalesced waves into the raw
  * driver below.
+ * The Natural-facing soa_mul_batch is an adapter over it.
  */
 #ifndef CAMP_MPN_KERNELS_SOA_HPP
 #define CAMP_MPN_KERNELS_SOA_HPP
 
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "mpn/natural.hpp"
 
@@ -28,11 +28,11 @@ constexpr std::size_t kSoaMaxLimbs = 64;
 
 /**
  * Multiply @p count independent products out[i] = pairs[i].first *
- * pairs[i].second. Pairs whose shapes can be grouped into full
- * SIMD-width lanes inside the eligibility window run through the
- * vertical SoA kernel of the active tier; everything else (odd
- * remainders, oversize or zero operands, scalar tier) takes the
- * ordinary per-product path. Results are bit-identical either way.
+ * pairs[i].second, bit-identical to operator*. An adapter over
+ * soa_mul_batch_raw: it allocates one product buffer per nonzero
+ * pair (each counted in mpn.alloc.count, as operator* counts its
+ * own), multiplies into them through soa_mul_batch_raw, and wraps
+ * them as Naturals.
  *
  * Returns the number of products computed via the SoA kernel
  * (0 when the active tier has none).
@@ -40,11 +40,6 @@ constexpr std::size_t kSoaMaxLimbs = 64;
 std::size_t
 soa_mul_batch(const std::pair<Natural, Natural>* pairs,
               std::size_t count, Natural* out);
-
-/** Convenience overload over whole vectors (sizes must match). */
-std::size_t
-soa_mul_batch(const std::vector<std::pair<Natural, Natural>>& pairs,
-              std::vector<Natural>& out);
 
 /**
  * One product of the raw (zero-copy) batch driver: operand limb runs
@@ -67,12 +62,15 @@ struct SoaItem
 };
 
 /**
- * Raw-pointer twin of soa_mul_batch over wave-owned storage: same
- * grouping, same vertical kernels, bit-identical products — but
- * results land in the caller's preallocated slots instead of fresh
- * Natural vectors. Operand order within an item may be swapped in
- * place (the product is symmetric). Returns the number of products
- * computed via the SoA kernel.
+ * The batch multiply over caller-owned storage. Items whose shapes can
+ * be grouped into full SIMD-width lanes inside the eligibility window
+ * run through the vertical SoA kernel of the active tier; everything
+ * else (odd remainders, oversize or zero operands, scalar tier) takes
+ * the ordinary per-product mpn::mul. Products are bit-identical
+ * either way and land in the caller's preallocated slots. Operand
+ * order within an item may be swapped in place (the product is
+ * symmetric). Returns the number of products computed via the SoA
+ * kernel.
  */
 std::size_t soa_mul_batch_raw(SoaItem* items, std::size_t count);
 

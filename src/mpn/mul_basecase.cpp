@@ -1,32 +1,34 @@
 #include "mpn/basic.hpp"
 #include "mpn/mul.hpp"
 
-#include "mpn/kernels/kernels.hpp"
+#include "mpn/kernels/internal.hpp"
 #include "support/assert.hpp"
 #include "support/bits.hpp"
 
 namespace camp::mpn {
 
-// The inner primitives dispatch through the runtime-probed kernel
-// table (scalar / sse4 / avx2 — see mpn/kernels/kernels.hpp); the
-// scalar reference loops live in mpn/kernels/scalar.cpp.
+// The multiply-by-limb family calls the scalar loops in
+// mpn/kernels/scalar.cpp directly: no SIMD tier beats the mulx chain
+// there, so it has no dispatch slot. The basecase dispatches through
+// the runtime-probed kernel table (scalar / avx2 — see
+// mpn/kernels/kernels.hpp).
 
 Limb
 mul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
 {
-    return kernels::active().mul_1(rp, ap, n, b);
+    return kernels::scalar_mul_1(rp, ap, n, b);
 }
 
 Limb
 addmul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
 {
-    return kernels::active().addmul_1(rp, ap, n, b);
+    return kernels::scalar_addmul_1(rp, ap, n, b);
 }
 
 Limb
 submul_1(Limb* rp, const Limb* ap, std::size_t n, Limb b)
 {
-    return kernels::active().submul_1(rp, ap, n, b);
+    return kernels::scalar_submul_1(rp, ap, n, b);
 }
 
 void
@@ -41,13 +43,13 @@ void
 sqr_basecase(Limb* rp, const Limb* ap, std::size_t n)
 {
     CAMP_ASSERT(n >= 1);
-    const kernels::KernelTable& table = kernels::active();
     // Off-diagonal products a[i]*a[j] for i < j, then double, then add the
     // diagonal squares: a^2 = 2 * sum_{i<j} a_i a_j B^{i+j} + sum a_i^2.
     zero(rp, 2 * n);
     for (std::size_t i = 0; i + 1 < n; ++i)
         rp[n + i] =
-            table.addmul_1(rp + 2 * i + 1, ap + i + 1, n - i - 1, ap[i]);
+            kernels::scalar_addmul_1(rp + 2 * i + 1, ap + i + 1,
+                                     n - i - 1, ap[i]);
     // Double the off-diagonal part.
     Limb carry = 0;
     for (std::size_t i = 1; i < 2 * n - 1; ++i) {

@@ -731,6 +731,13 @@ TEST(ServeEnv, JunkOverflowAndEmptyValuesThrowNamingTheVariable)
         expect_env_throws_naming(name, ""); // set-but-empty is a typo
         expect_env_throws_naming(name, "-4");
     }
+    // The unsigned knobs reject 2^32 and 2^32 + 1 instead of wrapping.
+    for (const char* name : {"CAMP_SERVE_INFLIGHT", "CAMP_SERVE_ATTEMPTS",
+                             "CAMP_SERVE_BREAKER_THRESHOLD"}) {
+        SCOPED_TRACE(name);
+        expect_env_throws_naming(name, "4294967296");
+        expect_env_throws_naming(name, "4294967297");
+    }
     // Zero is junk for the positive knobs, fine for the deadline.
     expect_env_throws_naming("CAMP_SERVE_WAVE", "0");
     ::setenv("CAMP_SERVE_DEADLINE_US", "0", 1);

@@ -4,7 +4,9 @@
  * vectorized primitive is compared case-by-case against the scalar
  * reference (the oracle), across random operands and the boundary
  * shapes carry bugs hide in — all-ones limbs, generate/propagate worst
- * cases, n = 0/1, unaligned vector tails, aliased rp/ap. A second
+ * cases, n = 0/1, unaligned vector tails, aliased rp/ap. The public
+ * mul_1 / addmul_1 / submul_1 (scalar loops with no table slot) are
+ * checked against a radix-2^32 reference written here. A second
  * layer asserts the hard bit-identity invariant end to end: full
  * mpn_mul, the SoA batch driver, and Device::mul_batch produce
  * identical bits under every CAMP_SIMD tier the host supports.
@@ -23,6 +25,7 @@
 #include "mpn/kernels/soa.hpp"
 #include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace mpn = camp::mpn;
@@ -88,7 +91,7 @@ fuzz_limbs(Rng& rng, std::size_t n)
     return v;
 }
 
-/** Scalars that stress the split-radix mid-word carries. */
+/** Scalars that stress the mid-word (radix-2^32 digit) carries. */
 Limb
 fuzz_scalar(Rng& rng)
 {
@@ -104,12 +107,49 @@ fuzz_scalar(Rng& rng)
     }
 }
 
+/**
+ * Radix-2^32 reference for the multiply-by-limb family: r = x + a * b
+ * (or x - a * b when @p subtract) over n = a.size() limbs, returning
+ * the carry (borrow) limb. x must hold n limbs (zeros for mul_1). Every
+ * intermediate is a 32-bit digit product plus two digits, which fits a
+ * 64-bit word, so no u128 carry logic is shared with the scalar loops.
+ */
+Limb
+ref_mul_1_op(std::vector<Limb>& r, const std::vector<Limb>& x,
+             const std::vector<Limb>& a, Limb b, bool subtract)
+{
+    const auto digit = [](const std::vector<Limb>& v, std::size_t i) {
+        return (v[i / 2] >> (32 * (i % 2))) & 0xffffffffULL;
+    };
+    const std::size_t nd = 2 * a.size();
+    // p = a * b as nd + 2 digits, schoolbook over b's two digits.
+    std::vector<std::uint64_t> p(nd + 2, 0);
+    for (std::size_t j = 0; j < 2; ++j) {
+        const std::uint64_t bd = (b >> (32 * j)) & 0xffffffffULL;
+        std::uint64_t carry = 0;
+        for (std::size_t i = 0; i < nd; ++i) {
+            const std::uint64_t t = digit(a, i) * bd + p[i + j] + carry;
+            p[i + j] = t & 0xffffffffULL;
+            carry = t >> 32;
+        }
+        p[nd + j] = carry;
+    }
+    // r = x +/- (p mod B^n); the carry (borrow) bit out of the top
+    // digit joins p's high limb.
+    r.assign(a.size(), 0);
+    std::uint64_t c = 0;
+    for (std::size_t i = 0; i < nd; ++i) {
+        const std::uint64_t t = subtract ? digit(x, i) - p[i] - c
+                                         : digit(x, i) + p[i] + c;
+        r[i / 2] |= (t & 0xffffffffULL) << (32 * (i % 2));
+        c = subtract ? t >> 63 : t >> 32;
+    }
+    return (p[nd] | (p[nd + 1] << 32)) + c;
+}
+
 struct NamedKernels
 {
     const char* name;
-    Limb (*mul_1)(Limb*, const Limb*, std::size_t, Limb);
-    Limb (*addmul_1)(Limb*, const Limb*, std::size_t, Limb);
-    Limb (*submul_1)(Limb*, const Limb*, std::size_t, Limb);
     Limb (*add_n)(Limb*, const Limb*, const Limb*, std::size_t);
     Limb (*sub_n)(Limb*, const Limb*, const Limb*, std::size_t);
     void (*mul_basecase)(Limb*, const Limb*, std::size_t, const Limb*,
@@ -117,27 +157,18 @@ struct NamedKernels
 };
 
 /**
- * Every compiled vectorized kernel set, whether or not the dispatch
- * table currently points at it ("vectorize where it wins" may park a
- * slot on scalar; the vectorized body still has to be correct so
- * retuning can re-enable it safely).
+ * Every compiled vectorized kernel set the host can run, called
+ * directly rather than through active(), so a CAMP_SIMD=scalar pin
+ * still fuzzes the vector bodies.
  */
 std::vector<NamedKernels>
 vector_kernel_sets()
 {
     std::vector<NamedKernels> sets;
 #if defined(__x86_64__) || defined(_M_X64)
-    if (kernels::host_supports(kernels::Tier::Sse4) &&
-        kernels::sse4_table() != nullptr)
-        sets.push_back({"sse4", kernels::sse4_mul_1,
-                        kernels::sse4_addmul_1, kernels::sse4_submul_1,
-                        kernels::sse4_add_n, kernels::sse4_sub_n,
-                        kernels::sse4_mul_basecase});
     if (kernels::host_supports(kernels::Tier::Avx2) &&
         kernels::avx2_table() != nullptr)
-        sets.push_back({"avx2", kernels::avx2_mul_1,
-                        kernels::avx2_addmul_1, kernels::avx2_submul_1,
-                        kernels::avx2_add_n, kernels::avx2_sub_n,
+        sets.push_back({"avx2", kernels::avx2_add_n, kernels::avx2_sub_n,
                         kernels::avx2_mul_basecase});
 #endif
     return sets;
@@ -165,8 +196,6 @@ std::vector<kernels::Tier>
 supported_tiers()
 {
     std::vector<kernels::Tier> tiers{kernels::Tier::Scalar};
-    if (kernels::table_for(kernels::Tier::Sse4) != nullptr)
-        tiers.push_back(kernels::Tier::Sse4);
     if (kernels::table_for(kernels::Tier::Avx2) != nullptr)
         tiers.push_back(kernels::Tier::Avx2);
     return tiers;
@@ -177,7 +206,6 @@ supported_tiers()
 TEST(SimdKernels, DispatchReportsSupportedTier)
 {
     const kernels::KernelTable& table = kernels::active();
-    EXPECT_NE(table.mul_1, nullptr);
     EXPECT_NE(table.add_n, nullptr);
     EXPECT_NE(table.mul_basecase, nullptr);
     EXPECT_TRUE(kernels::host_supports(table.tier));
@@ -190,89 +218,66 @@ TEST(SimdKernels, DispatchReportsSupportedTier)
 
 TEST(SimdKernels, Mul1DifferentialFuzz)
 {
-    const auto sets = vector_kernel_sets();
-    if (sets.empty())
-        GTEST_SKIP() << "host has no SIMD kernel tier";
     Rng rng(fuzz_seed(0x51D0001));
-    for (const NamedKernels& set : sets) {
-        for (int iter = 0; iter < 1200; ++iter) {
-            const std::size_t n = fuzz_size(rng);
-            const std::vector<Limb> a = fuzz_limbs(rng, n);
-            const Limb b = fuzz_scalar(rng);
-            std::vector<Limb> want(n), got(n);
-            const Limb want_c =
-                kernels::scalar_mul_1(want.data(), a.data(), n, b);
-            const Limb got_c = set.mul_1(got.data(), a.data(), n, b);
-            ASSERT_EQ(want, got) << set.name << " n=" << n
-                                 << " iter=" << iter;
-            ASSERT_EQ(want_c, got_c) << set.name << " n=" << n;
-            if (n != 0) {
-                // Aliased rp == ap (documented in-place form).
-                std::vector<Limb> in_place = a;
-                const Limb alias_c =
-                    set.mul_1(in_place.data(), in_place.data(), n, b);
-                ASSERT_EQ(want, in_place)
-                    << set.name << " aliased n=" << n;
-                ASSERT_EQ(want_c, alias_c);
-            }
+    for (int iter = 0; iter < 1200; ++iter) {
+        const std::size_t n = fuzz_size(rng);
+        const std::vector<Limb> a = fuzz_limbs(rng, n);
+        const Limb b = fuzz_scalar(rng);
+        std::vector<Limb> want, got(n);
+        const Limb want_c =
+            ref_mul_1_op(want, std::vector<Limb>(n), a, b, false);
+        const Limb got_c = mpn::mul_1(got.data(), a.data(), n, b);
+        ASSERT_EQ(want, got) << "n=" << n << " iter=" << iter;
+        ASSERT_EQ(want_c, got_c) << "n=" << n;
+        if (n != 0) {
+            // Aliased rp == ap (documented in-place form).
+            std::vector<Limb> in_place = a;
+            const Limb alias_c =
+                mpn::mul_1(in_place.data(), in_place.data(), n, b);
+            ASSERT_EQ(want, in_place) << "aliased n=" << n;
+            ASSERT_EQ(want_c, alias_c);
         }
     }
 }
 
 TEST(SimdKernels, Addmul1DifferentialFuzz)
 {
-    const auto sets = vector_kernel_sets();
-    if (sets.empty())
-        GTEST_SKIP() << "host has no SIMD kernel tier";
     Rng rng(fuzz_seed(0x51D0002));
-    for (const NamedKernels& set : sets) {
-        for (int iter = 0; iter < 1200; ++iter) {
-            const std::size_t n = fuzz_size(rng);
-            const std::vector<Limb> a = fuzz_limbs(rng, n);
-            const std::vector<Limb> r0 = fuzz_limbs(rng, n);
-            const Limb b = fuzz_scalar(rng);
-            std::vector<Limb> want = r0, got = r0;
-            const Limb want_c =
-                kernels::scalar_addmul_1(want.data(), a.data(), n, b);
-            const Limb got_c = set.addmul_1(got.data(), a.data(), n, b);
-            ASSERT_EQ(want, got) << set.name << " n=" << n
-                                 << " iter=" << iter;
-            ASSERT_EQ(want_c, got_c) << set.name << " n=" << n;
-            if (n != 0) {
-                // rp aliased to ap: rp += rp * b.
-                std::vector<Limb> want_alias = a, got_alias = a;
-                const Limb wc = kernels::scalar_addmul_1(
-                    want_alias.data(), want_alias.data(), n, b);
-                const Limb gc = set.addmul_1(got_alias.data(),
-                                             got_alias.data(), n, b);
-                ASSERT_EQ(want_alias, got_alias)
-                    << set.name << " aliased n=" << n;
-                ASSERT_EQ(wc, gc);
-            }
+    for (int iter = 0; iter < 1200; ++iter) {
+        const std::size_t n = fuzz_size(rng);
+        const std::vector<Limb> a = fuzz_limbs(rng, n);
+        const std::vector<Limb> r0 = fuzz_limbs(rng, n);
+        const Limb b = fuzz_scalar(rng);
+        std::vector<Limb> want, got = r0;
+        const Limb want_c = ref_mul_1_op(want, r0, a, b, false);
+        const Limb got_c = mpn::addmul_1(got.data(), a.data(), n, b);
+        ASSERT_EQ(want, got) << "n=" << n << " iter=" << iter;
+        ASSERT_EQ(want_c, got_c) << "n=" << n;
+        if (n != 0) {
+            // rp aliased to ap: rp += rp * b.
+            std::vector<Limb> want_alias, got_alias = a;
+            const Limb wc = ref_mul_1_op(want_alias, a, a, b, false);
+            const Limb gc = mpn::addmul_1(got_alias.data(),
+                                          got_alias.data(), n, b);
+            ASSERT_EQ(want_alias, got_alias) << "aliased n=" << n;
+            ASSERT_EQ(wc, gc);
         }
     }
 }
 
 TEST(SimdKernels, Submul1DifferentialFuzz)
 {
-    const auto sets = vector_kernel_sets();
-    if (sets.empty())
-        GTEST_SKIP() << "host has no SIMD kernel tier";
     Rng rng(fuzz_seed(0x51D0003));
-    for (const NamedKernels& set : sets) {
-        for (int iter = 0; iter < 1200; ++iter) {
-            const std::size_t n = fuzz_size(rng);
-            const std::vector<Limb> a = fuzz_limbs(rng, n);
-            const std::vector<Limb> r0 = fuzz_limbs(rng, n);
-            const Limb b = fuzz_scalar(rng);
-            std::vector<Limb> want = r0, got = r0;
-            const Limb want_c =
-                kernels::scalar_submul_1(want.data(), a.data(), n, b);
-            const Limb got_c = set.submul_1(got.data(), a.data(), n, b);
-            ASSERT_EQ(want, got) << set.name << " n=" << n
-                                 << " iter=" << iter;
-            ASSERT_EQ(want_c, got_c) << set.name << " n=" << n;
-        }
+    for (int iter = 0; iter < 1200; ++iter) {
+        const std::size_t n = fuzz_size(rng);
+        const std::vector<Limb> a = fuzz_limbs(rng, n);
+        const std::vector<Limb> r0 = fuzz_limbs(rng, n);
+        const Limb b = fuzz_scalar(rng);
+        std::vector<Limb> want, got = r0;
+        const Limb want_c = ref_mul_1_op(want, r0, a, b, true);
+        const Limb got_c = mpn::submul_1(got.data(), a.data(), n, b);
+        ASSERT_EQ(want, got) << "n=" << n << " iter=" << iter;
+        ASSERT_EQ(want_c, got_c) << "n=" << n;
     }
 }
 
@@ -390,7 +395,15 @@ TEST(SimdKernels, SoaVerticalMatchesPerProduct)
                 bits_b ? Natural::random_bits(rng, bits_b) : Natural());
         }
         std::vector<Natural> got(count);
-        kernels::soa_mul_batch(pairs, got);
+        camp::support::metrics::Counter& allocs =
+            camp::support::metrics::counter("mpn.alloc.count");
+        const std::uint64_t before = allocs.value();
+        kernels::soa_mul_batch(pairs.data(), count, got.data());
+        // One counted product buffer per nonzero pair, like operator*.
+        std::uint64_t nonzero = 0;
+        for (const auto& [a, b] : pairs)
+            nonzero += !a.is_zero() && !b.is_zero();
+        EXPECT_EQ(allocs.value() - before, nonzero) << "iter=" << iter;
         for (std::size_t i = 0; i < count; ++i)
             ASSERT_EQ(got[i], pairs[i].first * pairs[i].second)
                 << "iter=" << iter << " i=" << i;
