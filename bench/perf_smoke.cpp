@@ -7,7 +7,9 @@
  * the mpn, sim, and mpapca layers), checks results are bit-identical,
  * and records machine-readable numbers in BENCH_perf_smoke.json. The
  * mpn_div_2n_1n row hard-asserts that a 2n-by-n division costs at most
- * 8 same-size multiplies.
+ * 8 same-size multiplies, and the wave_fork_small row that a 2-product
+ * wave at parallelism 0 costs at most 1.2x its inline run (the host
+ * fork rule, DESIGN.md §8).
  * Speedup tracks the host: on a single-core runner the pooled path is
  * expected near 1.0x and the JSON row is the honest record of that.
  *
@@ -23,6 +25,7 @@
  */
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -338,6 +341,67 @@ main()
                  {{"allocs", static_cast<double>(wave_allocs)},
                   {"reduction", ratio},
                   {"speedup", copy_s / wave_s}});
+    }
+
+    section("wave fork rule: parallelism 0 vs 1");
+    {
+        // CpuDevice::mul_batch_wave on one pre-filled wave at
+        // parallelism 0 (the pool, subject to the fork rule) and 1
+        // (always inline). A 2-product wave of 256- or 1024-bit
+        // operands holds far less work than one pool round trip
+        // repays, so the pooled call must run inline as well: ratio
+        // <= 1.2, hard-asserted (forking every multi-product wave read
+        // 9.7x and 5.1x). The 16 x 16384-bit wave forks; its ratio is
+        // recorded only. Each side keeps its best of 25 short rounds,
+        // and which side runs first alternates by round, so one slow
+        // slice of a shared host cannot decide a ratio.
+        camp::exec::CpuDevice cpu;
+        TimingOptions fork_opts = opts;
+        fork_opts.min_seconds = 0.004;
+        // {parallelism 0, parallelism 1} seconds per wave.
+        const auto best_times = [&](std::size_t count, std::uint64_t bits) {
+            camp::exec::WaveBuffer wave;
+            std::vector<std::size_t> items(count);
+            std::vector<std::uint64_t> indices(count);
+            for (std::size_t i = 0; i < count; ++i) {
+                items[i] = wave.add(Natural::random_bits(rng, bits),
+                                    Natural::random_bits(rng, bits));
+                indices[i] = i;
+            }
+            // Indexed by parallelism.
+            double best[2] = {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::infinity()};
+            for (unsigned round = 0; round < 25; ++round)
+                for (const unsigned parallelism :
+                     {round % 2, 1 - round % 2})
+                    best[parallelism] = std::min(
+                        best[parallelism],
+                        time_call(
+                            [&] {
+                                cpu.mul_batch_wave(wave, items, indices,
+                                                   parallelism);
+                            },
+                            fork_opts));
+            const double pooled_s = best[0];
+            const double inline_s = best[1];
+            std::printf("%2zu x %5llu-bit wave: pooled/inline %.2fx\n",
+                        count, static_cast<unsigned long long>(bits),
+                        pooled_s / inline_s);
+            return std::pair{pooled_s, inline_s};
+        };
+        const auto [pooled_256_s, inline_256_s] = best_times(2, 256);
+        const auto [pooled_1024_s, inline_1024_s] = best_times(2, 1024);
+        const auto [pooled_large_s, inline_large_s] = best_times(16, 16384);
+        const double ratio_256 = pooled_256_s / inline_256_s;
+        const double ratio_1024 = pooled_1024_s / inline_1024_s;
+        CAMP_ASSERT(ratio_256 <= 1.2);
+        CAMP_ASSERT(ratio_1024 <= 1.2);
+        json.add("wave_fork_small", 1024, threads, pooled_1024_s / 2,
+                 2.0 * (1024 / 8.0),
+                 {{"ratio_256", ratio_256}, {"ratio_1024", ratio_1024}});
+        json.add("wave_fork_large", 16384, threads, pooled_large_s / 16,
+                 2.0 * (16384 / 8.0),
+                 {{"ratio", pooled_large_s / inline_large_s}});
     }
 
     // The tentpole gate: with any SIMD tier active, at least one gated

@@ -42,7 +42,9 @@
 #     (skip with CAMP_CI_SKIP_SANITIZE=1);
 #  4. ThreadSanitizer build (CAMP_SANITIZE=thread) over the
 #     concurrency-bearing tests — pool, mpn mul, batch, runtime,
-#     sharded scheduler, memory plane (per-thread arena magazines +
+#     exec devices (the wave fork rule: forked wave slices drawing
+#     their SoA item arrays from per-thread scratch frames), sharded
+#     scheduler, memory plane (per-thread arena magazines +
 #     concurrent wave slot writes), serving layer (concurrent ledger
 #     folding), async wall-clock serving (overlapping wave workers,
 #     handle callbacks, the differential oracle), operand cache
@@ -252,11 +254,11 @@ if [[ "${CAMP_CI_SKIP_SANITIZE:-0}" != "1" ]]; then
     echo "==== build build-tsan ===="
     cmake --build build-tsan -j "${JOBS}" --target \
         test_thread_pool test_mpn_mul test_sim_batch test_mpapca \
-        test_scheduler test_memory_plane test_serve test_serve_async \
-        test_opcache
+        test_exec test_scheduler test_memory_plane test_serve \
+        test_serve_async test_opcache
     echo "==== tsan tests (CAMP_THREADS=4) ===="
     for t in test_thread_pool test_mpn_mul test_sim_batch test_mpapca \
-             test_scheduler test_memory_plane test_serve \
+             test_exec test_scheduler test_memory_plane test_serve \
              test_serve_async test_opcache; do
         echo "---- ${t} ----"
         CAMP_THREADS=4 ./build-tsan/tests/"${t}"

@@ -42,32 +42,42 @@ CpuDevice::mul_batch_wave(WaveBuffer& wave,
     result.per_product.resize(count);
     result.tasks = count;
 
+    // A pool round trip costs more than a small wave's whole multiply,
+    // so the wave forks only when fork_slices (the host fork rule)
+    // leaves at least two slices.
     support::ThreadPool& pool = support::ThreadPool::global();
-    const bool fork = parallelism != 1 && count > 1 && pool.parallel() &&
-                      support::parallel_allowed();
+    std::size_t chunks = 1;
+    if (parallelism != 1 && count > 1 && pool.parallel() &&
+        support::parallel_allowed())
+        chunks = fork_slices(
+            wave, items,
+            std::min(count, static_cast<std::size_t>(pool.executors()) * 4));
+    const bool fork = chunks >= 2;
     result.parallelism = fork ? pool.executors() : 1;
     // Contiguous slices (not one pool task per product), each feeding
     // the raw SoA driver wave-owned operand views and result slots:
     // steady state, a whole wave multiplies without one product-buffer
     // allocation (this is what bench/perf_smoke's alloc_per_wave row
-    // gates on).
+    // gates on). The SoaItem array comes from the executing thread's
+    // scratch frame, never a thread_local buffer: TaskGroup::wait()
+    // helps, so a second slice can start on a thread whose first slice
+    // is suspended inside mpn::mul, and only LIFO frames nest safely.
     const auto slice = [&wave, &items](std::size_t lo, std::size_t hi) {
         mpn::OpHookSuspend suspend;
-        std::vector<mpn::kernels::SoaItem> raw(hi - lo);
+        support::ScratchFrame frame;
+        mpn::kernels::SoaItem* raw =
+            frame.alloc_array<mpn::kernels::SoaItem>(hi - lo);
         for (std::size_t k = lo; k < hi; ++k) {
             const mpn::LimbView a = wave.operand_a(items[k]);
             const mpn::LimbView b = wave.operand_b(items[k]);
             raw[k - lo] = {a.ptr, a.len, b.ptr, b.len,
                            wave.result_ptr(items[k]), 0};
         }
-        mpn::kernels::soa_mul_batch_raw(raw.data(), raw.size());
+        mpn::kernels::soa_mul_batch_raw(raw, hi - lo);
         for (std::size_t k = lo; k < hi; ++k)
             wave.set_result_size(items[k], raw[k - lo].rn);
     };
     if (fork) {
-        const std::size_t chunks =
-            std::min(count,
-                     static_cast<std::size_t>(pool.executors()) * 4);
         const std::size_t step = (count + chunks - 1) / chunks;
         support::TaskGroup group(pool);
         for (std::size_t lo = step; lo < count; lo += step) {

@@ -2,9 +2,10 @@
  * @file
  * CpuDevice: the host backend — base products execute through the mpn
  * kernels (the same code path the applications use directly), waves
- * fan out across the global thread pool. This is the reference
- * machine every other backend is checked against, so its products are
- * golden by construction.
+ * whose work repays a fork fan out across the global thread pool
+ * (the host fork rule, fork_slices in exec/wave.hpp). This is the
+ * reference machine every other backend is checked against, so its
+ * products are golden by construction.
  */
 #ifndef CAMP_EXEC_CPU_DEVICE_HPP
 #define CAMP_EXEC_CPU_DEVICE_HPP
@@ -30,7 +31,9 @@ class CpuDevice : public Device
     /** Zero-copy wave execution: the SoA batch driver runs directly
      * over the wave's operand views and writes products straight into
      * the wave's result slots (kernels::soa_mul_batch_raw) — no
-     * Natural materialization, no product-buffer allocation. */
+     * Natural materialization, no product-buffer allocation. Forks
+     * into fork_slices(wave, items, min(count, 4·executors)) slices
+     * when that is at least two; otherwise runs on the caller. */
     sim::BatchResult
     mul_batch_wave(WaveBuffer& wave,
                    const std::vector<std::size_t>& items,

@@ -125,4 +125,16 @@ WaveBuffer::capacity_words() const
     return total;
 }
 
+std::size_t
+fork_slices(const WaveBuffer& wave, const std::vector<std::size_t>& items,
+            std::size_t max_slices)
+{
+    std::uint64_t work = 0;
+    for (const std::size_t item : items)
+        work += static_cast<std::uint64_t>(wave.operand_a(item).size()) *
+                wave.operand_b(item).size();
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(max_slices, work / kForkChunkWork));
+}
+
 } // namespace camp::exec

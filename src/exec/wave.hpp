@@ -176,6 +176,25 @@ class WaveBuffer
     std::uint64_t generation_ = 0;
 };
 
+/**
+ * The host fork rule (DESIGN.md §8): the number of slices a forked run
+ * of @p items of @p wave may use, at most @p max_slices. Each slice
+ * must carry kForkChunkWork of the wave's schoolbook work (the sum of
+ * an·bn over the items, in limb-products: one 64×64-bit multiply
+ * each) to repay its pool round trip. Below two, run the wave on the
+ * calling thread.
+ */
+std::size_t fork_slices(const WaveBuffer& wave,
+                        const std::vector<std::size_t>& items,
+                        std::size_t max_slices);
+
+/**
+ * Limb-products of work one forked slice must carry to repay its pool
+ * round trip (submit, wake, steal, join). perf_smoke's wave_fork_*
+ * rows measure both sides of it.
+ */
+inline constexpr std::uint64_t kForkChunkWork = std::uint64_t{1} << 15;
+
 } // namespace camp::exec
 
 #endif // CAMP_EXEC_WAVE_HPP

@@ -101,28 +101,36 @@ soa_mul_batch_raw(SoaItem* items, std::size_t count)
             std::swap(items[i].an, items[i].bn);
         }
 
+    // (shape, item) pairs sorted by shape, in a frame on the calling
+    // thread's scratch arena: a wave sorts without touching the heap.
+    struct Slot
+    {
+        std::uint64_t shape; ///< packed (an, bn), or kIneligible
+        std::size_t item;
+    };
     constexpr std::uint64_t kIneligible = ~std::uint64_t{0};
-    std::vector<std::pair<std::uint64_t, std::size_t>> order;
-    order.reserve(count);
+    support::ScratchFrame frame;
+    Slot* order = frame.alloc_array<Slot>(count);
     for (std::size_t i = 0; i < count; ++i) {
         const bool eligible = w != 0 && table.soa_vertical != nullptr &&
                               items[i].bn >= 1 &&
                               items[i].an <= kSoaMaxLimbs;
-        order.emplace_back(
-            eligible
-                ? (static_cast<std::uint64_t>(items[i].an) << 32) |
-                      items[i].bn
-                : kIneligible,
-            i);
+        order[i] = {eligible
+                        ? (static_cast<std::uint64_t>(items[i].an) << 32) |
+                              items[i].bn
+                        : kIneligible,
+                    i};
     }
-    std::sort(order.begin(), order.end());
+    std::sort(order, order + count, [](const Slot& x, const Slot& y) {
+        return x.shape != y.shape ? x.shape < y.shape : x.item < y.item;
+    });
 
     std::size_t via_soa = 0;
     std::size_t pos = 0;
     while (pos < count) {
-        const std::uint64_t key = order[pos].first;
+        const std::uint64_t key = order[pos].shape;
         std::size_t end = pos;
-        while (end < count && order[end].first == key)
+        while (end < count && order[end].shape == key)
             ++end;
         if (key != kIneligible) {
             const std::size_t an = key >> 32;
@@ -133,14 +141,14 @@ soa_mul_batch_raw(SoaItem* items, std::size_t count)
             Limb* rps[8];
             while (pos + w <= end) {
                 for (std::size_t lane = 0; lane < w; ++lane) {
-                    SoaItem& item = items[order[pos + lane].second];
+                    SoaItem& item = items[order[pos + lane].item];
                     aps[lane] = item.ap;
                     bps[lane] = item.bp;
                     rps[lane] = item.rp;
                 }
                 soa_group_core(table, an, bn, aps, bps, rps);
                 for (std::size_t lane = 0; lane < w; ++lane) {
-                    SoaItem& item = items[order[pos + lane].second];
+                    SoaItem& item = items[order[pos + lane].item];
                     std::size_t rn = an + bn;
                     while (rn > 0 && item.rp[rn - 1] == 0)
                         --rn;
@@ -154,7 +162,7 @@ soa_mul_batch_raw(SoaItem* items, std::size_t count)
         // kernel, straight into the caller's slot — still no product
         // allocation.
         for (; pos < end; ++pos) {
-            SoaItem& item = items[order[pos].second];
+            SoaItem& item = items[order[pos].item];
             if (item.bn == 0) {
                 item.rn = 0;
                 continue;
@@ -166,8 +174,11 @@ soa_mul_batch_raw(SoaItem* items, std::size_t count)
             item.rn = rn;
         }
     }
-    if (via_soa)
-        support::metrics::counter("mpn.soa.products").add(via_soa);
+    if (via_soa) {
+        static support::metrics::Counter& soa_products =
+            support::metrics::counter("mpn.soa.products");
+        soa_products.add(via_soa);
+    }
     return via_soa;
 }
 
@@ -188,7 +199,9 @@ soa_mul_batch(const std::pair<Natural, Natural>* pairs,
         items[i].rp = limbs[i].data();
         ++allocs;
     }
-    support::metrics::counter("mpn.alloc.count").add(allocs);
+    static support::metrics::Counter& alloc_count =
+        support::metrics::counter("mpn.alloc.count");
+    alloc_count.add(allocs);
     const std::size_t via_soa = soa_mul_batch_raw(items.data(), count);
     for (std::size_t i = 0; i < count; ++i)
         out[i] = Natural::from_limbs(std::move(limbs[i]));

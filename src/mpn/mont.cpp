@@ -65,7 +65,7 @@ MontCtx::MontCtx(const Limb* mp, std::size_t mn)
         value.parts.push_back(r1_);
         value.parts.push_back(r2_);
         value.scalars.push_back(n0inv_);
-        cache.insert(key, std::move(value));
+        cache.insert(std::move(key), std::move(value));
     }
 }
 

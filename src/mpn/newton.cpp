@@ -111,7 +111,7 @@ newton_reciprocal(const Natural& d, std::uint64_t extra)
         support::OpValue value;
         value.parts.push_back(x.limbs());
         value.scalars.push_back(extra);
-        cache.insert(key, std::move(value));
+        cache.insert(std::move(key), std::move(value));
     }
     return x;
 }

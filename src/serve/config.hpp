@@ -98,9 +98,13 @@ struct ServeConfig
     /** Consult a per-server operand-digest product cache at dispatch
      * (support::OpCache, DESIGN.md §16): repeated operand pairs — the
      * workload generator's repeat_fraction traffic — are served from
-     * the verified cache instead of re-executing on the device. The
-     * virtual-time ledger is unchanged (hits keep their model cost),
-     * so the report is identical either way except opcache.* metrics.
+     * the verified cache instead of re-executing on the device. On a
+     * host device (kind() == Host) only requests whose smaller operand
+     * has at least mpn::mul_tuning().karatsuba limbs use the cache: a
+     * smaller product costs less than a lookup. Simulated and
+     * modelled devices cache every product. The virtual-time ledger
+     * is unchanged (hits keep their model cost), so the report is
+     * identical either way except opcache.* metrics.
      * Env: CAMP_OPCACHE (shared with the mpn-layer global cache). */
     bool use_opcache = true;
 

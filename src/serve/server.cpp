@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "exec/queue.hpp"
+#include "mpn/mul.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/table.hpp"
@@ -56,7 +57,9 @@ percentile(const std::vector<std::uint64_t>& sorted, double q)
 
 /** Trace span names live as long as the ring (pointers are stored,
  * never copied), so per-tenant settle spans need interned names. The
- * registry leaks by design — tenant cardinality is tiny. */
+ * registry leaks by design — tenant cardinality is tiny. Called once
+ * per tenant, when the engine first sees it (TenantState::settle_span),
+ * never per settle. */
 const char*
 settle_span_name(const std::string& tenant)
 {
@@ -161,6 +164,10 @@ struct Entry
     bool faulty_seen = false;
     bool from_cache = false; ///< product served by the opcache
     Natural cached_product;  ///< set when from_cache
+    /** Product-cache key, built once at the first dispatch the cache
+     * admits; empty material = not built. Moved into the cache on
+     * insert. */
+    support::OpKey cache_key;
 };
 
 /** Product-cache key for one request's operand pair. The leading
@@ -191,6 +198,7 @@ struct ExecResult
 struct TenantState
 {
     std::string name;
+    const char* settle_span = nullptr; ///< interned "serve.settle.<name>"
     Priority priority = Priority::Normal;
     TenantCounters counters;
     std::uint64_t retry_budget = 0;
@@ -251,7 +259,9 @@ class Engine
         : config_(config), device_(device), fault_sink_(fault_sink),
           clock_(clock), opcache_(opcache),
           queue_(device, 0, 0, config.max_inflight_waves),
-          cap_bits_(device.base_cap_bits())
+          cap_bits_(device.base_cap_bits()),
+          host_device_(device.kind() == exec::DeviceKind::Host),
+          karatsuba_limbs_(mpn::mul_tuning().karatsuba)
     {
     }
 
@@ -317,16 +327,31 @@ class Engine
     std::size_t
     tenant_of(const Request& req)
     {
-        auto [it, inserted] =
-            tenant_index_.emplace(req.tenant, tenants_.size());
-        if (inserted) {
-            TenantState state;
-            state.name = req.tenant;
-            state.priority = req.priority;
-            state.retry_budget = config_.limits.retry_budget;
-            tenants_.push_back(std::move(state));
-        }
-        return it->second;
+        // Look up first: a known tenant costs no map-node allocation.
+        const auto it = tenant_index_.find(req.tenant);
+        if (it != tenant_index_.end())
+            return it->second;
+        TenantState state;
+        state.name = req.tenant;
+        state.settle_span = settle_span_name(req.tenant);
+        state.priority = req.priority;
+        state.retry_budget = config_.limits.retry_budget;
+        tenant_index_.emplace(req.tenant, tenants_.size());
+        tenants_.push_back(std::move(state));
+        return tenants_.size() - 1;
+    }
+
+    /** Product-cache admission (DESIGN.md §16). On a host device a
+     * product below Karatsuba size costs less than a cache round trip
+     * (key build, hash, full-material compare, checksum, insert), so
+     * only requests whose smaller operand reaches the Karatsuba
+     * threshold use the cache. Simulated and modelled devices cache
+     * every product: theirs stand for accelerator work. */
+    bool
+    cache_admits(const Request& req) const
+    {
+        return !host_device_ ||
+               std::min(req.a.size(), req.b.size()) >= karatsuba_limbs_;
     }
 
     void
@@ -403,8 +428,7 @@ class Engine
             ++c.fallbacks;
 
         {
-            support::trace::Span span(settle_span_name(tenant.name),
-                                      "serve");
+            support::trace::Span span(tenant.settle_span, "serve");
             span.arg("status",
                      static_cast<double>(static_cast<int>(status)));
             span.arg("skew_us",
@@ -600,14 +624,14 @@ class Engine
     dispatch(double target)
     {
         // Select up to wave_size dispatchable entries in key order.
-        std::vector<std::size_t> picked;
-        while (picked.size() < config_.wave_size) {
+        picked_.clear();
+        while (picked_.size() < config_.wave_size) {
             std::size_t best = ready_.size();
             for (std::size_t i = 0; i < ready_.size(); ++i) {
                 if (ready_[i].ready_us > vnow_)
                     continue;
-                if (std::find(picked.begin(), picked.end(), i) !=
-                    picked.end())
+                if (std::find(picked_.begin(), picked_.end(), i) !=
+                    picked_.end())
                     continue;
                 if (best == ready_.size() ||
                     key_of(ready_[i]) < key_of(ready_[best]))
@@ -615,12 +639,13 @@ class Engine
             }
             if (best == ready_.size())
                 break;
-            picked.push_back(best);
+            picked_.push_back(best);
         }
-        CAMP_ASSERT(!picked.empty());
-        std::sort(picked.begin(), picked.end());
+        CAMP_ASSERT(!picked_.empty());
+        std::sort(picked_.begin(), picked_.end());
         WaveInFlight wave;
-        for (auto it = picked.rbegin(); it != picked.rend(); ++it) {
+        wave.entries.reserve(picked_.size());
+        for (auto it = picked_.rbegin(); it != picked_.rend(); ++it) {
             wave.entries.push_back(std::move(ready_[*it]));
             ready_.erase(ready_.begin() +
                          static_cast<std::ptrdiff_t>(*it));
@@ -631,9 +656,12 @@ class Engine
                       return key_of(a) < key_of(b);
                   });
 
+        // Entries that survive the gates are compacted to the front of
+        // wave.entries in place.
         double wave_cost = 0.0;
-        std::vector<Entry> dispatched;
-        for (Entry& entry : wave.entries) {
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < wave.entries.size(); ++i) {
+            Entry& entry = wave.entries[i];
             --tenants_[entry.tenant].queued;
             queued_cost_us_ -= entry.cost_us;
             // Deadline gate at dispatch: expired work is dropped, not
@@ -662,19 +690,25 @@ class Engine
             // vs virtual (the differential-oracle contract). A hit
             // keeps its model cost in wave_cost, so the virtual
             // timeline — and with it every shed/deadline decision —
-            // is byte-identical with the cache off.
-            if (opcache_ != nullptr) {
-                if (const auto hit =
-                        opcache_->lookup(product_key(*entry.req))) {
+            // is byte-identical with the cache off. The key is built
+            // once and kept in the entry for the insert at completion.
+            if (opcache_ != nullptr && cache_admits(*entry.req)) {
+                if (entry.cache_key.material.empty())
+                    entry.cache_key = product_key(*entry.req);
+                if (const auto hit = opcache_->lookup(entry.cache_key)) {
                     entry.from_cache = true;
                     // Copy-on-return: cached limbs stay immutable.
                     entry.cached_product =
                         Natural::from_limbs(hit->parts[0]);
                 }
             }
-            dispatched.push_back(std::move(entry));
+            if (kept != i)
+                wave.entries[kept] = std::move(entry);
+            ++kept;
         }
-        wave.entries = std::move(dispatched);
+        wave.entries.erase(wave.entries.begin() +
+                               static_cast<std::ptrdiff_t>(kept),
+                           wave.entries.end());
         if (wave.entries.empty())
             return; // everything expired; no device work
 
@@ -803,12 +837,13 @@ class Engine
             // Populate the product cache from clean device results
             // only — a flagged-faulty product must never be served to
             // a later repeat, and hits need no re-insert (lookup
-            // already refreshed their LRU position).
-            if (opcache_ != nullptr && !entry.from_cache &&
+            // already refreshed their LRU position). Only entries the
+            // cache admitted at dispatch carry a key.
+            if (!entry.cache_key.material.empty() && !entry.from_cache &&
                 !res.faulty) {
                 support::OpValue value;
                 value.parts.push_back(res.product.limbs());
-                opcache_->insert(product_key(*entry.req),
+                opcache_->insert(std::move(entry.cache_key),
                                  std::move(value));
             }
             complete_exact(entry, std::move(res.product), when,
@@ -937,6 +972,8 @@ class Engine
     support::OpCache* opcache_; ///< per-server; nullptr = disabled
     exec::SubmitQueue queue_;
     std::uint64_t cap_bits_;
+    bool host_device_;            ///< device_.kind() == Host
+    std::size_t karatsuba_limbs_; ///< cache admission floor on a host
 
     /** Stable request storage: entries hold pointers into this deque
      * for the whole session (submit_async callers keep nothing). */
@@ -947,6 +984,9 @@ class Engine
     std::vector<TenantState> tenants_;
     std::unordered_map<std::string, std::size_t> tenant_index_;
     std::vector<Entry> ready_;
+    /** dispatch()'s selection; engine-owned so its capacity recycles
+     * wave over wave. */
+    std::vector<std::size_t> picked_;
     std::deque<WaveInFlight> inflight_;
     double queued_cost_us_ = 0.0;
     double device_free_us_ = 0.0; ///< in-order pipeline tail

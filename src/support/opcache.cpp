@@ -209,7 +209,7 @@ OpCache::lookup(const OpKey& key)
 }
 
 void
-OpCache::insert(const OpKey& key, OpValue value)
+OpCache::insert(OpKey key, OpValue value)
 {
     if (!enabled())
         return;
@@ -241,7 +241,7 @@ OpCache::insert(const OpKey& key, OpValue value)
             }
         }
         Shard::Entry entry;
-        entry.key = key;
+        entry.key = std::move(key);
         entry.checksum = value_checksum(*shared);
         entry.value = std::move(shared);
         entry.bytes = entry_bytes;

@@ -149,9 +149,10 @@ class OpCache
      * material matches are replaced in place; colliding digests with
      * different material coexist. Evicts LRU entries of the shard
      * until the shard budget holds. Oversized values (bigger than a
-     * whole shard's budget) are not cached. No-op when disabled.
+     * whole shard's budget) are not cached. No-op when disabled. The
+     * key is taken by value so a caller done with it can move it in.
      */
-    void insert(const OpKey& key, OpValue value);
+    void insert(OpKey key, OpValue value);
 
     /** Drop every entry (stats counters are kept). */
     void clear();

@@ -30,7 +30,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace camp::support {
@@ -212,6 +214,24 @@ class ScratchFrame
 
     /** Words live until this frame unwinds. */
     std::uint64_t* alloc(std::size_t n) { return arena_.alloc(n); }
+
+    /** @p n default-initialized objects of a trivially copyable and
+     * destructible, at most word-aligned @p T, live until this frame
+     * unwinds. */
+    template <class T>
+    T*
+    alloc_array(std::size_t n)
+    {
+        static_assert(std::is_trivially_copyable_v<T> &&
+                      std::is_trivially_destructible_v<T> &&
+                      alignof(T) <= alignof(std::uint64_t));
+        constexpr std::size_t words =
+            (sizeof(T) + sizeof(std::uint64_t) - 1) /
+            sizeof(std::uint64_t);
+        // Non-allocating array placement new starts the lifetime of a
+        // default-initialized n-element T array in the words.
+        return ::new (static_cast<void*>(alloc(n * words))) T[n];
+    }
 
   private:
     ScratchArena& arena_;

@@ -28,7 +28,9 @@
 #include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
 #include "support/errors.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace exec = camp::exec;
 namespace sim = camp::sim;
@@ -366,6 +368,61 @@ TEST(ExecDevices, BatchProductsBitIdenticalAcrossBackends)
     // Simulated and modelled accounting agree on the schedule shape.
     EXPECT_EQ(on_sim.tasks, on_analytic.tasks);
     EXPECT_EQ(on_sim.waves, on_analytic.waves);
+}
+
+TEST(ExecDevices, WaveForksOnlyWhenWorkPays)
+{
+    // The host fork rule (DESIGN.md §8): a wave forks only when its
+    // schoolbook work fills at least two kForkChunkWork slices
+    // (fork_slices). A 2 x 256-bit wave (32 limb-products) runs on the
+    // caller; a 16 x 16384-bit wave (about 1M) fans out. Products are
+    // exact either way. pool.submits counts every forked task.
+    if (!camp::support::ThreadPool::global().parallel())
+        GTEST_SKIP() << "serial pool: no wave ever forks";
+    const std::uint64_t seed = fuzz_seed(0xf02c0de);
+    camp::Rng rng(seed);
+    camp::support::metrics::Counter& submits =
+        camp::support::metrics::counter("pool.submits");
+
+    struct Wave
+    {
+        exec::WaveBuffer buffer;
+        std::vector<Natural> golden;
+        std::vector<std::size_t> items;
+        std::vector<std::uint64_t> indices;
+    };
+    const auto fill = [&rng](Wave& wave, std::size_t count,
+                             std::uint64_t max_bits) {
+        for (std::size_t i = 0; i < count; ++i) {
+            const Natural a = Natural::random_bits(
+                rng, max_bits - rng.below(max_bits / 2));
+            const Natural b = Natural::random_bits(
+                rng, max_bits - rng.below(max_bits / 2));
+            wave.golden.push_back(a * b);
+            wave.items.push_back(wave.buffer.add(a, b));
+            wave.indices.push_back(i);
+        }
+    };
+    const auto expect_exact = [seed](const Wave& wave, const char* what) {
+        for (std::size_t i = 0; i < wave.golden.size(); ++i)
+            ASSERT_EQ(wave.buffer.take_result(i), wave.golden[i])
+                << what << " item " << i << " CAMP_FUZZ_SEED=" << seed;
+    };
+
+    exec::CpuDevice cpu;
+    Wave small, large;
+    fill(small, 2, 256);
+    fill(large, 16, 16384);
+    ASSERT_LT(exec::fork_slices(small.buffer, small.items, 64), 2u);
+    std::uint64_t before = submits.value();
+    cpu.mul_batch_wave(small.buffer, small.items, small.indices, 0);
+    EXPECT_EQ(submits.value(), before) << "a 2 x 256-bit wave forked";
+    expect_exact(small, "cpu small");
+    before = submits.value();
+    cpu.mul_batch_wave(large.buffer, large.items, large.indices, 0);
+    EXPECT_GT(submits.value(), before)
+        << "a 16 x 16384-bit wave ran on one thread";
+    expect_exact(large, "cpu large");
 }
 
 TEST(ExecDevices, SimDeviceRejectsOversizedBaseProduct)

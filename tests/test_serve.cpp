@@ -24,6 +24,7 @@
 #include "exec/wave.hpp"
 #include "mpapca/cost_model.hpp"
 #include "mpapca/ledger.hpp"
+#include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
 #include "serve/breaker.hpp"
 #include "serve/config.hpp"
@@ -197,6 +198,50 @@ expect_exact_completions(const std::vector<serve::Request>& workload,
                       workload[i].a * workload[i].b)
                 << "wrong result for request " << outcome.id;
         }
+    }
+}
+
+/** Two reports of one workload agree field by field: outcomes
+ * (products included), shed/timeout sets, wave count, virtual timeline,
+ * tenant ledgers and latency percentiles. The product cache's contract
+ * is exactly this between its on and off runs (DESIGN.md §16). */
+void
+expect_reports_equal(const serve::ServeReport& on,
+                     const serve::ServeReport& off)
+{
+    ASSERT_EQ(on.outcomes.size(), off.outcomes.size());
+    for (std::size_t i = 0; i < on.outcomes.size(); ++i) {
+        const serve::Outcome& a = on.outcomes[i];
+        const serve::Outcome& b = off.outcomes[i];
+        EXPECT_EQ(a.id, b.id) << i;
+        EXPECT_EQ(a.status, b.status) << i;
+        EXPECT_EQ(a.error, b.error) << i;
+        EXPECT_EQ(a.retry_after.count(), b.retry_after.count()) << i;
+        EXPECT_EQ(a.latency_us, b.latency_us) << i;
+        EXPECT_EQ(a.wall_completion_us, b.wall_completion_us) << i;
+        EXPECT_EQ(a.skew_us, b.skew_us) << i;
+        EXPECT_EQ(a.attempts, b.attempts) << i;
+        EXPECT_EQ(a.fallback, b.fallback) << i;
+        EXPECT_EQ(a.faulty_seen, b.faulty_seen) << i;
+        ASSERT_EQ(a.product, b.product) << "request " << a.id;
+    }
+    EXPECT_EQ(on.shed_ids, off.shed_ids);
+    EXPECT_EQ(on.timeout_ids, off.timeout_ids);
+    EXPECT_EQ(on.waves, off.waves);
+    EXPECT_EQ(on.virtual_end_us, off.virtual_end_us);
+    ASSERT_EQ(on.tenants.size(), off.tenants.size());
+    for (std::size_t i = 0; i < on.tenants.size(); ++i) {
+        const serve::TenantReport& a = on.tenants[i];
+        const serve::TenantReport& b = off.tenants[i];
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.counters.submitted, b.counters.submitted);
+        EXPECT_EQ(a.counters.admitted, b.counters.admitted);
+        EXPECT_EQ(a.counters.completed, b.counters.completed);
+        EXPECT_EQ(a.counters.failed, b.counters.failed);
+        EXPECT_EQ(a.latencies_us, b.latencies_us) << a.name;
+        EXPECT_EQ(a.p50_us, b.p50_us);
+        EXPECT_EQ(a.p95_us, b.p95_us);
+        EXPECT_EQ(a.p99_us, b.p99_us);
     }
 }
 
@@ -488,42 +533,9 @@ TEST(Server, OpcacheInvariantUnderRepeatTraffic)
                   uncached.opcache_stats().misses,
               0u);
 
-    ASSERT_EQ(on.outcomes.size(), off.outcomes.size());
-    for (std::size_t i = 0; i < on.outcomes.size(); ++i) {
-        const serve::Outcome& a = on.outcomes[i];
-        const serve::Outcome& b = off.outcomes[i];
-        EXPECT_EQ(a.id, b.id) << i;
-        EXPECT_EQ(a.status, b.status) << i;
-        EXPECT_EQ(a.error, b.error) << i;
-        EXPECT_EQ(a.retry_after.count(), b.retry_after.count()) << i;
-        EXPECT_EQ(a.latency_us, b.latency_us) << i;
-        EXPECT_EQ(a.wall_completion_us, b.wall_completion_us) << i;
-        EXPECT_EQ(a.skew_us, b.skew_us) << i;
-        EXPECT_EQ(a.attempts, b.attempts) << i;
-        EXPECT_EQ(a.fallback, b.fallback) << i;
-        EXPECT_EQ(a.faulty_seen, b.faulty_seen) << i;
-        ASSERT_EQ(a.product, b.product) << "request " << a.id;
-    }
+    expect_reports_equal(on, off);
     EXPECT_GT(on.shed_ids.size(), 0u)
         << "the overload must actually shed for this test to bite";
-    EXPECT_EQ(on.shed_ids, off.shed_ids);
-    EXPECT_EQ(on.timeout_ids, off.timeout_ids);
-    EXPECT_EQ(on.waves, off.waves);
-    EXPECT_EQ(on.virtual_end_us, off.virtual_end_us);
-    ASSERT_EQ(on.tenants.size(), off.tenants.size());
-    for (std::size_t i = 0; i < on.tenants.size(); ++i) {
-        const serve::TenantReport& a = on.tenants[i];
-        const serve::TenantReport& b = off.tenants[i];
-        EXPECT_EQ(a.name, b.name);
-        EXPECT_EQ(a.counters.submitted, b.counters.submitted);
-        EXPECT_EQ(a.counters.admitted, b.counters.admitted);
-        EXPECT_EQ(a.counters.completed, b.counters.completed);
-        EXPECT_EQ(a.counters.failed, b.counters.failed);
-        EXPECT_EQ(a.latencies_us, b.latencies_us) << a.name;
-        EXPECT_EQ(a.p50_us, b.p50_us);
-        EXPECT_EQ(a.p95_us, b.p95_us);
-        EXPECT_EQ(a.p99_us, b.p99_us);
-    }
     EXPECT_TRUE(on.conserved()) << on.table();
     EXPECT_TRUE(off.conserved()) << off.table();
     expect_exact_completions(workload, on);
@@ -533,6 +545,67 @@ TEST(Server, OpcacheInvariantUnderRepeatTraffic)
     const auto before = cached.opcache_stats();
     cached.process(workload);
     EXPECT_GT(cached.opcache_stats().hits, before.hits);
+}
+
+TEST(Server, ProductCacheAdmitsKaratsubaSizedProductsOnHost)
+{
+    // Product-cache admission (DESIGN.md §16): on a host device a
+    // product whose smaller operand is below the Karatsuba threshold
+    // is cheaper to recompute than to look up, so the cache never sees
+    // it; Karatsuba-sized repeats still hit. Either way the report
+    // equals the cache-off run field by field. A simulated device
+    // caches every product, however small.
+    const std::uint64_t karatsuba_bits =
+        64 * camp::mpn::mul_tuning().karatsuba;
+    serve::WorkloadSpec spec;
+    spec.seed = fuzz_seed(0xad3175);
+    spec.requests = 240;
+    spec.repeat_fraction = 0.6;
+    serve::ServeConfig config;
+    config.wave_size = 4;
+
+    const auto serve_both = [&config](exec::Device& on_device,
+                                      exec::Device& off_device,
+                                      const std::vector<serve::Request>&
+                                          workload) {
+        config.use_opcache = true;
+        serve::Server cached(config, on_device);
+        const serve::ServeReport on = cached.process(workload);
+        config.use_opcache = false;
+        const serve::ServeReport off =
+            serve::Server(config, off_device).process(workload);
+        expect_reports_equal(on, off);
+        EXPECT_TRUE(on.conserved()) << on.table();
+        expect_exact_completions(workload, on);
+        return cached.opcache_stats();
+    };
+
+    // Below Karatsuba size: every operand has fewer limbs than the
+    // threshold.
+    spec.min_bits = 64;
+    spec.max_bits = karatsuba_bits - 64;
+    const auto small = serve::generate_workload(spec);
+    {
+        exec::CpuDevice on_device, off_device;
+        const camp::support::OpCacheStats stats =
+            serve_both(on_device, off_device, small);
+        EXPECT_EQ(stats.hits + stats.misses, 0u)
+            << "sub-Karatsuba products bypass the cache on a host";
+        EXPECT_EQ(stats.inserts, 0u);
+    }
+    {
+        exec::SimDevice on_device, off_device;
+        EXPECT_GT(serve_both(on_device, off_device, small).hits, 0u)
+            << "a simulated device caches every product";
+    }
+
+    // At or above it: every operand has at least the threshold's limbs.
+    spec.min_bits = karatsuba_bits - 63;
+    spec.max_bits = 4 * karatsuba_bits;
+    const auto large = serve::generate_workload(spec);
+    exec::CpuDevice on_device, off_device;
+    EXPECT_GT(serve_both(on_device, off_device, large).hits, 0u)
+        << "Karatsuba-sized repeats must still hit on a host";
 }
 
 TEST(Server, ShedsLowestPriorityFirst)
