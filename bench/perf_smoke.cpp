@@ -7,9 +7,10 @@
  * the mpn, sim, and mpapca layers), checks results are bit-identical,
  * and records machine-readable numbers in BENCH_perf_smoke.json. The
  * mpn_div_2n_1n row hard-asserts that a 2n-by-n division costs at most
- * 8 same-size multiplies, and the wave_fork_small row that a 2-product
- * wave at parallelism 0 costs at most 1.2x its inline run (the host
- * fork rule, DESIGN.md §8).
+ * 8 same-size multiplies, the mpn_sqr_64 row that a 64-limb square
+ * costs at most 0.85 of the same product, and the wave_fork_small row
+ * that a 2-product wave at parallelism 0 costs at most 1.2x its inline
+ * run (the host fork rule, DESIGN.md §8).
  * Speedup tracks the host: on a single-core runner the pooled path is
  * expected near 1.0x and the JSON row is the honest record of that.
  *
@@ -39,6 +40,7 @@
 #include "mpn/kernels/kernels.hpp"
 #include "mpn/kernels/soa.hpp"
 #include "mpn/natural.hpp"
+#include "mpz/integer.hpp"
 #include "sim/batch.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
@@ -47,6 +49,7 @@
 #include "support/trace.hpp"
 
 using camp::mpn::Natural;
+using camp::mpz::Integer;
 using namespace camp::bench;
 namespace trace = camp::support::trace;
 namespace kernels = camp::mpn::kernels;
@@ -124,6 +127,57 @@ main()
         CAMP_ASSERT(div_over_mul <= 8.0);
         json.add("mpn_div_2n_1n", n * 64, 1, div_s, 3.0 * n * 8.0,
                  {{"div_over_mul", div_over_mul}});
+    }
+
+    section("mpn square vs multiply; 2048-bit modular exponentiation");
+    {
+        // mpn_sqr_64: the 64-limb square (Karatsuba squares down to
+        // sqr_basecase) against mul(a, a) on the same operand. Each
+        // side keeps its best of 25 short rounds, alternating which
+        // runs first, and sqr/mul <= 0.85 is hard-asserted: squaring
+        // through mul read 0.93-1.0. powmod_2048 is a 2048-bit
+        // exponent modulo a 2048-bit odd modulus, the shape of one CRT
+        // half of an RSA-4096 decrypt; it is recorded only.
+        const std::size_t n = 64;
+        std::vector<camp::mpn::Limb> a(n), sq(2 * n), prod(2 * n);
+        for (auto& limb : a)
+            limb = rng.next();
+        TimingOptions sq_opts = opts;
+        sq_opts.min_seconds = 0.004;
+        const auto square = [&] { camp::mpn::sqr(sq.data(), a.data(), n); };
+        const auto product = [&] {
+            camp::mpn::mul(prod.data(), a.data(), n, a.data(), n);
+        };
+        double sqr_s = std::numeric_limits<double>::infinity();
+        double mul_s = sqr_s;
+        for (unsigned round = 0; round < 25; ++round) {
+            const bool square_first = round % 2 == 0;
+            for (const bool is_square : {square_first, !square_first}) {
+                if (is_square)
+                    sqr_s = std::min(sqr_s, time_call(square, sq_opts));
+                else
+                    mul_s = std::min(mul_s, time_call(product, sq_opts));
+            }
+        }
+        CAMP_ASSERT(sq == prod);
+        const double sqr_over_mul = sqr_s / mul_s;
+        std::printf("64-limb sqr/mul: %.2f\n", sqr_over_mul);
+        CAMP_ASSERT(sqr_over_mul <= 0.85);
+        json.add("mpn_sqr_64", n * 64, 1, sqr_s, n * 8.0,
+                 {{"sqr_over_mul", sqr_over_mul}});
+
+        const std::uint64_t bits = 2048;
+        Natural modulus = Natural::random_bits(rng, bits);
+        if (!modulus.is_odd())
+            modulus += Natural(1);
+        const Natural base = Natural::random_bits(rng, bits - 1);
+        const Natural exponent = Natural::random_bits(rng, bits);
+        Natural result;
+        const double powmod_s = time_call(
+            [&] { result = Integer::powmod(base, exponent, modulus); },
+            opts);
+        CAMP_ASSERT(result < modulus);
+        json.add("powmod_2048", bits, 1, powmod_s, 3.0 * (bits / 8.0));
     }
 
     section("sim batch multiply, serial vs pooled");

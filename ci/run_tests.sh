@@ -24,10 +24,11 @@
 #     short `serve_soak --wall` leg (hard correctness asserts, no
 #     latency gates; in wall mode a wave the engine would join before
 #     returning runs inline, and only a wave that outlives the pump
-#     overlaps on a worker thread), plus an ungated end-to-end serving
-#     smoke: bench/e2e's camp_bench on serve-small (cpu) and
-#     serve-large (4-shard cpu), digest-checking every served product,
-#     run with every CAMP_* variable stripped under `timeout 600`;
+#     overlaps on a worker thread), plus an ungated end-to-end
+#     smoke: bench/e2e's camp_bench on serve-small (cpu), serve-large
+#     (4-shard cpu) and rsa-4096 (CRT decrypt round trips),
+#     digest-checking every result, run with every CAMP_* variable
+#     stripped under `timeout 600`;
 #  3. address+undefined-sanitizer build + ctest — this includes
 #     test_simd_kernels, so the vector kernels' scratch/tail handling
 #     runs under ASan/UBSan every CI pass; CAMP_SANITIZE adds
@@ -172,21 +173,23 @@ if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then
         CAMP_BENCH_DIR=build \
         ./build/bench/serve_soak --wall
 
-    # End-to-end serving smoke: camp_bench (bench/e2e) runs both serve
+    # End-to-end smoke: camp_bench (bench/e2e) runs both serve
     # workloads briefly — wall-mode serving over cpu, then over a
     # 4-shard cpu ShardedScheduler, at realistic operand sizes — and
     # digest-checks every served product against a serial mpn
-    # reference, exiting nonzero on any wrong result. Ungated (no
-    # baseline; wall timings are host noise). camp_bench refuses any
-    # CAMP_* variable, this script's own CAMP_CI_* switches included,
-    # so the leg runs with all of them stripped; the timeout turns a
-    # wave-nesting deadlock into a failure instead of a hang.
-    echo "==== e2e serving smoke (camp_bench serve-small, serve-large) ===="
+    # reference, then runs rsa-4096, whose every CRT decrypt must
+    # return the encrypted message. It exits nonzero on any wrong
+    # result. Ungated (no baseline; wall timings are host noise).
+    # camp_bench refuses any CAMP_* variable, this script's own
+    # CAMP_CI_* switches included, so the leg runs with all of them
+    # stripped; the timeout turns a wave-nesting deadlock into a
+    # failure instead of a hang.
+    echo "==== e2e smoke (camp_bench serve-small, serve-large, rsa-4096) ===="
     e2e_env=(env)
     for var in $(compgen -e | grep '^CAMP_' || true); do
         e2e_env+=(-u "${var}")
     done
-    for workload in serve-small serve-large; do
+    for workload in serve-small serve-large rsa-4096; do
         "${e2e_env[@]}" timeout 600 python3 bench/e2e/run.py \
             --workload "${workload}" --seconds 2 --trace 0 \
             --out build/e2e-smoke

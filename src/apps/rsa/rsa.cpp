@@ -2,6 +2,7 @@
 
 #include "mpz/integer.hpp"
 #include "support/assert.hpp"
+#include "support/errors.hpp"
 #include "support/rng.hpp"
 
 namespace camp::apps::rsa {
@@ -17,7 +18,8 @@ generate_prime(std::uint64_t bits, std::uint64_t seed)
         Natural candidate = Natural::random_bits(rng, bits);
         if (!candidate.is_odd())
             candidate += Natural(1);
-        // Quick small-prime sieve happens inside is_probable_prime.
+        // Trial division by the primes below 1024 happens inside
+        // is_probable_prime, ahead of Miller–Rabin.
         if (Integer::is_probable_prime(candidate, 20, seed + attempt))
             return candidate;
     }
@@ -44,6 +46,9 @@ generate_key(std::uint64_t modulus_bits, std::uint64_t seed)
         if (Natural::gcd(key.e, phi) != Natural(1))
             continue;
         key.d = Integer::invmod(key.e, phi);
+        key.dp = key.d % (key.p - Natural(1));
+        key.dq = key.d % (key.q - Natural(1));
+        key.qinv = Integer::invmod(key.q, key.p);
         return key;
     }
 }
@@ -58,7 +63,19 @@ encrypt(const Natural& message, const KeyPair& key)
 Natural
 decrypt(const Natural& cipher, const KeyPair& key)
 {
-    return Integer::powmod(cipher, key.d, key.n);
+    CAMP_ASSERT_MSG(!key.qinv.is_zero(),
+                    "rsa::decrypt: key lacks its CRT fields");
+    const Natural c = cipher % key.n;
+    const Natural m1 = Integer::powmod(c, key.dp, key.p);
+    const Natural m2 = Integer::powmod(c, key.dq, key.q);
+    // h = qinv * (m1 - m2) mod p, kept nonnegative by adding p. q may
+    // exceed p, so m2 is reduced mod p first.
+    const Natural h = (key.qinv * (m1 + key.p - m2 % key.p)) % key.p;
+    Natural m = m2 + h * key.q;
+    if (Integer::powmod(m, key.e, key.n) != c)
+        throw Error(ErrorCode::Internal,
+                    "rsa::decrypt: CRT result fails re-encryption");
+    return m;
 }
 
 std::uint64_t

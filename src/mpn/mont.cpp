@@ -8,6 +8,7 @@
 #include "mpn/ophook.hpp"
 #include "support/assert.hpp"
 #include "support/opcache.hpp"
+#include "support/thread_pool.hpp"
 
 namespace camp::mpn {
 
@@ -51,7 +52,7 @@ MontCtx::MontCtx(const Limb* mp, std::size_t mn)
     divrem(q.data(), r1_.data(), pow.data(), nn_ + 1, m_.data(), nn_);
     // R^2 = (R mod m)^2 mod m.
     std::vector<Limb> sqv(2 * nn_, 0);
-    sqr(sqv.data(), r1_.data(), nn_);
+    camp::mpn::sqr(sqv.data(), r1_.data(), nn_);
     r2_.assign(nn_, 0);
     const std::size_t sn = normalized_size(sqv.data(), 2 * nn_);
     if (sn >= nn_) {
@@ -102,21 +103,41 @@ MontCtx::redc(Limb* rp, Limb* tp) const
 void
 MontCtx::mul(Limb* rp, const Limb* ap, const Limb* bp) const
 {
-    std::vector<Limb> t(2 * nn_, 0);
     const std::size_t an = normalized_size(ap, nn_);
     const std::size_t bn = normalized_size(bp, nn_);
     if (an == 0 || bn == 0) {
         zero(rp, nn_);
         return;
     }
+    support::ScratchFrame scratch;
+    Limb* t = scratch.alloc(2 * nn_);
     {
         const OpScope scope(OpKind::Mul, an * 64, bn * 64);
         if (an >= bn)
-            camp::mpn::mul(t.data(), ap, an, bp, bn);
+            camp::mpn::mul(t, ap, an, bp, bn);
         else
-            camp::mpn::mul(t.data(), bp, bn, ap, an);
+            camp::mpn::mul(t, bp, bn, ap, an);
     }
-    redc(rp, t.data());
+    zero(t + an + bn, 2 * nn_ - an - bn);
+    redc(rp, t);
+}
+
+void
+MontCtx::sqr(Limb* rp, const Limb* ap) const
+{
+    const std::size_t an = normalized_size(ap, nn_);
+    if (an == 0) {
+        zero(rp, nn_);
+        return;
+    }
+    support::ScratchFrame scratch;
+    Limb* t = scratch.alloc(2 * nn_);
+    {
+        const OpScope scope(OpKind::Sqr, an * 64, an * 64);
+        camp::mpn::sqr(t, ap, an);
+    }
+    zero(t + 2 * an, 2 * (nn_ - an));
+    redc(rp, t);
 }
 
 void
@@ -128,9 +149,11 @@ MontCtx::to_mont(Limb* rp, const Limb* ap) const
 void
 MontCtx::from_mont(Limb* rp, const Limb* ap) const
 {
-    std::vector<Limb> t(2 * nn_, 0);
-    copy(t.data(), ap, nn_);
-    redc(rp, t.data());
+    support::ScratchFrame scratch;
+    Limb* t = scratch.alloc(2 * nn_);
+    copy(t, ap, nn_);
+    zero(t + nn_, nn_);
+    redc(rp, t);
 }
 
 } // namespace camp::mpn

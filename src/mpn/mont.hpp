@@ -16,7 +16,9 @@ namespace camp::mpn {
 
 /**
  * Precomputed context for Montgomery arithmetic modulo an odd modulus m
- * of nn limbs, with R = B^nn.
+ * of nn limbs, with R = B^nn. Immutable after construction: every
+ * operation takes its temporaries from the calling thread's scratch
+ * arena, so one const context is safe to share across threads.
  */
 class MontCtx
 {
@@ -33,8 +35,16 @@ class MontCtx
      */
     void redc(Limb* rp, Limb* tp) const;
 
-    /** rp = a * b * R^-1 mod m; all operands nn limbs, rp distinct. */
+    /**
+     * rp = a * b * R^-1 mod m; all operands nn limbs. The double-width
+     * product lives in the calling thread's scratch arena, so rp may
+     * alias ap or bp and a call allocates nothing in steady state.
+     */
     void mul(Limb* rp, const Limb* ap, const Limb* bp) const;
+
+    /** rp = a^2 * R^-1 mod m: mul(rp, ap, ap) with the product from
+     * mpn::sqr, announced as OpKind::Sqr. */
+    void sqr(Limb* rp, const Limb* ap) const;
 
     /** rp = to_mont(a) = a * R mod m. */
     void to_mont(Limb* rp, const Limb* ap) const;

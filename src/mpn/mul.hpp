@@ -117,7 +117,11 @@ const char* mul_algorithm_name(std::size_t n, const MulTuning& tuning);
 void mul(Limb* rp, const Limb* ap, std::size_t an,
          const Limb* bp, std::size_t bn);
 
-/** Square via mul dispatch (schoolbook squaring below Karatsuba). */
+/**
+ * rp[0..2n) = a^2: the schoolbook square below the Karatsuba
+ * threshold, a Karatsuba square recursing through sqr below Toom-3,
+ * and mul(a, a) at and above it. rp must not overlap ap.
+ */
 void sqr(Limb* rp, const Limb* ap, std::size_t n);
 
 } // namespace camp::mpn

@@ -243,6 +243,58 @@ mul(Limb* rp, const Limb* ap, std::size_t an, const Limb* bp, std::size_t bn)
     }
 }
 
+namespace {
+
+/**
+ * Karatsuba square of a normalized n-limb a, n >= 2: with
+ * a = a1*B^m + a0 and m = floor(n/2),
+ * a^2 = a1^2*B^2m + (a0^2 + a1^2 - (a1 - a0)^2)*B^m + a0^2.
+ * The middle term squares |a1 - a0| instead of multiplying two sums,
+ * so all three half-size products recurse through sqr and its
+ * symmetric basecase.
+ */
+void
+sqr_karatsuba(Limb* rp, const Limb* ap, std::size_t n)
+{
+    const std::size_t m = n >> 1;
+    const std::size_t h = n - m; // a1's size: m or m + 1
+    const Limb* a0 = ap;
+    const Limb* a1 = ap + m;
+
+    support::ScratchFrame scratch;
+    Limb* d = scratch.alloc(h);
+    Limb* u = scratch.alloc(2 * h);
+    Limb* s = scratch.alloc(2 * h + 1);
+
+    sqr(rp, a0, m);         // rp[0..2m)  = a0^2
+    sqr(rp + 2 * m, a1, h); // rp[2m..2n) = a1^2
+
+    // d = |a1 - a0|. a1's top limb is a's, so a1 is normalized at h.
+    const std::size_t a0n = normalized_size(a0, m);
+    Limb borrow;
+    if (cmp(a1, h, a0, a0n) >= 0)
+        borrow = sub(d, a1, h, a0, a0n);
+    else
+        borrow = sub(d, a0, m, a1, h);
+    CAMP_ASSERT(borrow == 0);
+    const std::size_t dn = normalized_size(d, h);
+
+    // s = a0^2 + a1^2 - d^2 = 2*a0*a1.
+    s[2 * h] = add(s, rp + 2 * m, 2 * h, rp, 2 * m);
+    if (dn > 0) {
+        sqr(u, d, dn);
+        borrow = sub(s, s, 2 * h + 1, u, 2 * dn);
+        CAMP_ASSERT(borrow == 0);
+    }
+
+    // rp += s * B^m.
+    const Limb carry = add(rp + m, rp + m, 2 * n - m, s,
+                           normalized_size(s, 2 * h + 1));
+    CAMP_ASSERT(carry == 0);
+}
+
+} // namespace
+
 void
 sqr(Limb* rp, const Limb* ap, std::size_t n)
 {
@@ -253,11 +305,13 @@ sqr(Limb* rp, const Limb* ap, std::size_t n)
         return;
     }
     zero(rp + 2 * nn, 2 * (n - nn));
-    if (nn < mul_tuning().karatsuba) {
+    const MulTuning& t = mul_tuning();
+    if (nn < t.karatsuba)
         sqr_basecase(rp, ap, nn);
-        return;
-    }
-    mul(rp, ap, nn, ap, nn);
+    else if (nn < t.toom3)
+        sqr_karatsuba(rp, ap, nn);
+    else
+        mul(rp, ap, nn, ap, nn);
 }
 
 } // namespace camp::mpn

@@ -93,7 +93,9 @@ operator*(const Natural& a, const Natural& b)
         return Natural();
     // Churn visibility: every heap-allocated product buffer bumps
     // mpn.alloc.count (the SoA batch path bumps it once per lane too).
-    support::metrics::counter("mpn.alloc.count").add(1);
+    static support::metrics::Counter& allocs =
+        support::metrics::counter("mpn.alloc.count");
+    allocs.add(1);
     std::vector<Limb> r(a.size() + b.size());
     if (a.size() >= b.size())
         mul(r.data(), a.data(), a.size(), b.data(), b.size());

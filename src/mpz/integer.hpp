@@ -90,8 +90,10 @@ class Integer
     static Integer pow(const Integer& a, std::uint64_t e);
 
     /**
-     * Modular exponentiation base^exp mod m for m >= 1; uses Montgomery
-     * ladders for odd m and square-and-mod otherwise.
+     * Modular exponentiation base^exp mod m for m >= 1. An odd m runs
+     * a sliding-window Montgomery exponentiation whose width follows
+     * the exponent's length (1, the plain ladder, up to 23 bits; 6
+     * above 671); an even m runs a square-and-mod ladder.
      */
     static Natural powmod(const Natural& base, const Natural& exp,
                           const Natural& m);
@@ -100,8 +102,9 @@ class Integer
     static Natural invmod(const Natural& a, const Natural& m);
 
     /**
-     * Miller–Rabin probabilistic primality test with @p rounds rounds
-     * of deterministically seeded bases.
+     * Trial division by the primes below 1024, then a Miller–Rabin
+     * probabilistic primality test with @p rounds rounds of
+     * deterministically seeded bases.
      */
     static bool is_probable_prime(const Natural& n, int rounds = 25,
                                   std::uint64_t seed = 0x5eed);

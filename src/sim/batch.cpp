@@ -150,11 +150,16 @@ BatchEngine::fold_outcomes(std::vector<ProductOutcome>& outcomes,
         result.injected += out.injected;
         result.faulty += out.faulty ? 1 : 0;
     }
-    metrics::counter("sim.batch.products").add(count);
-    metrics::counter("sim.batch.faulty").add(result.faulty);
-    metrics::counter("sim.batch.injected").add(result.injected);
-    metrics::gauge("sim.batch.size_max")
-        .update_max(static_cast<std::int64_t>(count));
+    static metrics::Counter& products =
+        metrics::counter("sim.batch.products");
+    static metrics::Counter& faulty = metrics::counter("sim.batch.faulty");
+    static metrics::Counter& injected =
+        metrics::counter("sim.batch.injected");
+    static metrics::Gauge& size_max = metrics::gauge("sim.batch.size_max");
+    products.add(count);
+    faulty.add(result.faulty);
+    injected.add(result.injected);
+    size_max.update_max(static_cast<std::int64_t>(count));
 
     // Batch scheduling: tasks from independent products pack the whole
     // fabric (no inter-product dependencies), so waves are simply the

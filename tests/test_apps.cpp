@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdint>
+#include <vector>
 
 #include "apps/frac/mandelbrot.hpp"
 #include "apps/pi/chudnovsky.hpp"
 #include "apps/rsa/rsa.hpp"
 #include "apps/zkcm/zkcm.hpp"
+#include "fuzz_seed.hpp"
+#include "mpz/integer.hpp"
+#include "support/errors.hpp"
 #include "support/rng.hpp"
 
 namespace pi_app = camp::apps::pi;
@@ -229,6 +234,132 @@ TEST(RsaApp, KeyInternalConsistency)
     EXPECT_EQ(key.p * key.q, key.n);
     const Natural phi = (key.p - Natural(1)) * (key.q - Natural(1));
     EXPECT_EQ((key.e * key.d) % phi, Natural(1));
+}
+
+TEST(RsaApp, CrtDecryptMatchesFullExponent)
+{
+    // CRT decrypt against one full-size c^d mod n. Odd modulus widths
+    // give q one more bit than p, so q > p is covered with m2 often
+    // above m1 + p; even widths give either order.
+    using camp::mpz::Integer;
+    const std::uint64_t seed = fuzz_seed(0xc47dec0ull);
+    camp::Rng rng(seed);
+    int q_above_p = 0, p_above_q = 0;
+    for (const std::uint64_t bits : {64, 65, 127, 128, 256, 383, 512,
+                                     1023, 1024}) {
+        const rsa::KeyPair key = rsa::generate_key(bits, seed + bits);
+        (key.q > key.p ? q_above_p : p_above_q) += 1;
+        std::vector<Natural> ciphers = {Natural(), Natural(1),
+                                        key.n - Natural(1)};
+        for (int i = 0; i < 3; ++i) {
+            ciphers.push_back(
+                key.p * (Natural::random_bits(rng, key.q.bits()) % key.q));
+            ciphers.push_back(
+                key.q * (Natural::random_bits(rng, key.p.bits()) % key.p));
+        }
+        for (int i = 0; i < 8; ++i)
+            ciphers.push_back(Natural::random_bits(rng, key.n.bits()) %
+                              key.n);
+        for (const Natural& c : ciphers)
+            ASSERT_EQ(rsa::decrypt(c, key), Integer::powmod(c, key.d, key.n))
+                << "bits=" << bits << " c=" << c.to_hex()
+                << " q>p=" << (key.q > key.p)
+                << " CAMP_FUZZ_SEED=" << seed;
+    }
+    EXPECT_GT(q_above_p, 0);
+    EXPECT_GT(p_above_q, 0) << "no key with p > q; change the seeds";
+}
+
+TEST(RsaApp, FaultyCrtHalfFailsReencryption)
+{
+    // A wrong half (here dp off by one) must not leak out as a
+    // plaintext: the re-encryption check throws Internal.
+    rsa::KeyPair key = rsa::generate_key(256, 77);
+    key.dp += Natural(1);
+    const Natural cipher = rsa::encrypt(Natural(123456789), key);
+    try {
+        rsa::decrypt(cipher, key);
+        FAIL() << "faulty CRT half was not detected";
+    } catch (const camp::Error& e) {
+        EXPECT_EQ(e.code(), camp::ErrorCode::Internal);
+    }
+}
+
+namespace {
+
+/** The primality test generate_prime used before trial division: the
+ * 12 primes up to 37 by full division, then Miller–Rabin. */
+bool
+twelve_prime_probable_prime(const Natural& n, int rounds, std::uint64_t seed)
+{
+    using camp::mpz::Integer;
+    if (n < Natural(2))
+        return false;
+    for (std::uint64_t p : {2u, 3u, 5u, 7u, 11u, 13u, 17u, 19u, 23u,
+                            29u, 31u, 37u}) {
+        if (n == Natural(p))
+            return true;
+        if ((n % Natural(p)).is_zero())
+            return false;
+    }
+    const Natural nm1 = n - Natural(1);
+    std::uint64_t s = 0;
+    Natural d = nm1;
+    while (!d.is_odd()) {
+        d >>= 1;
+        ++s;
+    }
+    camp::Rng rng(seed);
+    for (int round = 0; round < rounds; ++round) {
+        Natural base =
+            Natural::random_bits(rng, n.bits()) % (n - Natural(3));
+        base += Natural(2);
+        Natural x = Integer::powmod(base, d, n);
+        if (x == Natural(1) || x == nm1)
+            continue;
+        bool witness = true;
+        for (std::uint64_t i = 1; i < s; ++i) {
+            x = (x * x) % n;
+            if (x == nm1) {
+                witness = false;
+                break;
+            }
+        }
+        if (witness)
+            return false;
+    }
+    return true;
+}
+
+/** generate_prime's candidate walk over twelve_prime_probable_prime. */
+Natural
+twelve_prime_generate_prime(std::uint64_t bits, std::uint64_t seed)
+{
+    camp::Rng rng(seed);
+    for (int attempt = 0; attempt < 100000; ++attempt) {
+        Natural candidate = Natural::random_bits(rng, bits);
+        if (!candidate.is_odd())
+            candidate += Natural(1);
+        if (twelve_prime_probable_prime(candidate, 20, seed + attempt))
+            return candidate;
+    }
+    return Natural();
+}
+
+} // namespace
+
+TEST(RsaApp, KeygenUnchangedByTrialDivision)
+{
+    // Trial division only moves the rejection of candidates with a
+    // small factor ahead of Miller–Rabin, so the search must land on
+    // the same primes, and keys stay what they were.
+    const std::uint64_t seed = fuzz_seed(0x7d1a1ull);
+    for (const std::uint64_t bits : {512, 1024})
+        for (std::uint64_t k = 0; k < 8; ++k)
+            ASSERT_EQ(rsa::generate_prime(bits, seed + k),
+                      twelve_prime_generate_prime(bits, seed + k))
+                << "bits=" << bits << " seed=" << seed + k
+                << " CAMP_FUZZ_SEED=" << seed;
 }
 
 TEST(RsaApp, ModexpWorkloadDeterministic)

@@ -24,6 +24,7 @@
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
 #include "exec/wave.hpp"
+#include "fuzz_seed.hpp"
 #include "mpapca/runtime.hpp"
 #include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
@@ -38,20 +39,6 @@ using camp::mpn::Natural;
 using camp::mpapca::Runtime;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 /** Deterministically wrong device: the first @p failures mul() calls
  * return an off-by-one product (reporting one injected fault each),

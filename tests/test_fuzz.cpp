@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "fuzz_seed.hpp"
 #include "mpn/basic.hpp"
 #include "mpn/div.hpp"
 #include "mpn/mul.hpp"
@@ -28,20 +29,6 @@ using mpn::Limb;
 using mpn::Natural;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 /** RAII: scramble the mul/div thresholds, restore on exit. */
 class TuningFuzz

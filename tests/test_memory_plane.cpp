@@ -23,6 +23,7 @@
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
 #include "exec/wave.hpp"
+#include "fuzz_seed.hpp"
 #include "mpn/natural.hpp"
 #include "mpn/view.hpp"
 #include "serve/breaker.hpp"
@@ -43,20 +44,6 @@ using support::ArenaOptions;
 using support::LimbArena;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 exec::ShardPolicy
 never_drain(unsigned shards)

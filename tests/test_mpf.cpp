@@ -12,6 +12,7 @@
 #include <string>
 #include <utility>
 
+#include "fuzz_seed.hpp"
 #include "mpf/float.hpp"
 #include "support/rng.hpp"
 
@@ -28,20 +29,6 @@ expect_close(const Float& a, double expect, double rel = 1e-14)
     const double got = a.to_double();
     EXPECT_NEAR(got, expect,
                 std::abs(expect) * rel + 1e-300);
-}
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
 }
 
 /** Reference for Float::normalize(): truncate toward zero to @p prec

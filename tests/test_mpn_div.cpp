@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "fuzz_seed.hpp"
 #include "mpn/basic.hpp"
 #include "mpn/div.hpp"
 #include "mpn/mul.hpp"
@@ -23,20 +24,6 @@ namespace mpn = camp::mpn;
 using mpn::Limb;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 std::vector<Limb>
 random_limbs(camp::Rng& rng, std::size_t n, bool nonzero_top = false)

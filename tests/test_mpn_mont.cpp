@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_seed.hpp"
 #include "mpn/basic.hpp"
 #include "mpn/mont.hpp"
 #include "mpn/natural.hpp"
@@ -21,20 +22,6 @@ using mpn::MontCtx;
 using mpn::Natural;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 Natural
 mont_mul_via_ctx(const MontCtx& ctx, const Natural& a, const Natural& b)
@@ -174,4 +161,41 @@ TEST(MpnMont, SquaringChainMatchesPow)
     for (int i = 0; i < 5; ++i)
         expect = (expect * expect) % m;
     EXPECT_EQ(Natural::from_limbs({r.begin(), r.end()}), expect);
+}
+
+TEST(MpnMont, SqrMatchesMul)
+{
+    // MontCtx::sqr squares through mpn::sqr (Karatsuba square from 24
+    // limbs); it must equal MontCtx::mul(a, a) bit for bit, in place
+    // too, over moduli that cross the square's thresholds.
+    const std::uint64_t seed = fuzz_seed(0x5b0a4e5ull);
+    camp::Rng rng(seed);
+    for (int cases = 0; cases < 1000; ++cases) {
+        const std::size_t limbs = 1 + rng.below(80);
+        Natural m = cases % 10 == 0
+                        ? (Natural(1) << (64 * limbs)) - Natural(1)
+                        : Natural::random_bits(rng, 64 * limbs -
+                                                        rng.below(64));
+        if (!m.is_odd())
+            m += Natural(1);
+        const MontCtx ctx(m.data(), m.size());
+        const std::size_t nn = ctx.size();
+        Natural a;
+        switch (cases % 4) {
+        case 0: a = m - Natural(1); break;
+        case 1: a = Natural::random_bits(rng, 1 + rng.below(64)); break;
+        default: a = Natural::random_bits(rng, m.bits()) % m; break;
+        }
+        if (cases % 97 == 0)
+            a = Natural();
+        std::vector<Limb> av(nn, 0), sq(nn), mu(nn);
+        mpn::copy(av.data(), a.data(), a.size());
+        ctx.sqr(sq.data(), av.data());
+        ctx.mul(mu.data(), av.data(), av.data());
+        ASSERT_EQ(sq, mu) << "case=" << cases << " limbs=" << nn
+                          << " CAMP_FUZZ_SEED=" << seed;
+        ctx.sqr(av.data(), av.data());
+        ASSERT_EQ(av, mu) << "in place, case=" << cases
+                          << " CAMP_FUZZ_SEED=" << seed;
+    }
 }

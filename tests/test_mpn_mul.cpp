@@ -6,11 +6,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "fuzz_seed.hpp"
 #include "mpn/basic.hpp"
 #include "mpn/mul.hpp"
 #include "support/metrics.hpp"
@@ -21,20 +23,6 @@ namespace mpn = camp::mpn;
 using mpn::Limb;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 std::vector<Limb>
 random_limbs(camp::Rng& rng, std::size_t n, bool allow_zero_top = true)
@@ -405,6 +393,49 @@ TEST(MpnMul, SqrMatchesMulAtAllRegimes)
         mpn::mul(m.data(), a.data(), n, a.data(), n);
         EXPECT_EQ(s, m) << "n=" << n;
     }
+}
+
+TEST(MpnMul, SqrMatchesMulAcrossKaratsubaRange)
+{
+    // Every size from the basecase through the Karatsuba square into
+    // Toom-3, with the operand shapes that steer its |a1 - a0| branch:
+    // random, all-ones, a1 = a0, a zero high half and a zero low half.
+    // The second pass lowers the thresholds so the square recurses at
+    // least two Karatsuba levels before reaching sqr_basecase.
+    const std::uint64_t seed = fuzz_seed(0x5a7a2a1ull);
+    camp::Rng rng(seed);
+    const auto check_sizes = [&](const char* tuning) {
+        for (std::size_t n = 1; n <= 200; ++n) {
+            const std::size_t m = n / 2;
+            for (int shape = 0; shape < 5; ++shape) {
+                std::vector<Limb> a = random_limbs(rng, n);
+                if (shape == 1)
+                    a.assign(n, ~Limb{0});
+                else if (shape == 2 && m > 0)
+                    std::copy(a.begin(), a.begin() + m, a.begin() + m);
+                else if (shape == 3)
+                    std::fill(a.begin() + m, a.end(), Limb{0});
+                else if (shape == 4)
+                    std::fill(a.begin(), a.begin() + m, Limb{0});
+                std::vector<Limb> s(2 * n), p(2 * n);
+                mpn::sqr(s.data(), a.data(), n);
+                mpn::mul(p.data(), a.data(), n, a.data(), n);
+                ASSERT_EQ(s, p) << tuning << " n=" << n
+                                << " shape=" << shape
+                                << " CAMP_FUZZ_SEED=" << seed;
+            }
+        }
+    };
+    check_sizes("default");
+    struct RestoreTuning
+    {
+        mpn::MulTuning saved = mpn::mul_tuning();
+        ~RestoreTuning() { mpn::mul_tuning() = saved; }
+    } restore;
+    mpn::mul_tuning().karatsuba = 4;
+    mpn::mul_tuning().toom3 = 40;
+    ASSERT_TRUE(mpn::mul_tuning_monotone(mpn::mul_tuning()));
+    check_sizes("lowered");
 }
 
 TEST(MpnMul, DispatchMatchesRecordedAlgorithmAtThresholds)

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "fuzz_seed.hpp"
 #include "mpn/basic.hpp"
 #include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
@@ -20,20 +21,6 @@ using mpn::Limb;
 using mpn::Natural;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 void
 check_sqrt(const Natural& a)

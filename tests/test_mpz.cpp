@@ -5,8 +5,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
+#include "fuzz_seed.hpp"
 #include "mpz/integer.hpp"
 #include "support/rng.hpp"
 
@@ -115,6 +118,87 @@ TEST(Integer, PowmodFermatLittleTheorem)
     const Natural m127 = (Natural(1) << 127) - Natural(1);
     EXPECT_EQ(Integer::powmod(Natural(3), m127 - Natural(1), m127),
               Natural(1));
+}
+
+namespace {
+
+/** Left-to-right square-and-multiply on Natural: the oracle for the
+ * sliding-window Montgomery powmod. */
+Natural
+reference_powmod(const Natural& base, const Natural& exp, const Natural& m)
+{
+    const Natural b = base % m;
+    Natural acc = Natural(1) % m;
+    for (std::uint64_t i = exp.bits(); i-- > 0;) {
+        acc = (acc * acc) % m;
+        if (exp.bit(i))
+            acc = (acc * b) % m;
+    }
+    return acc;
+}
+
+Natural
+all_ones(std::uint64_t bits)
+{
+    return (Natural(1) << bits) - Natural(1);
+}
+
+} // namespace
+
+TEST(Integer, PowmodSlidingWindowDifferentialFuzz)
+{
+    // Moduli of 1-80 limbs, odd and even, plus m = 1 and 2; exponent
+    // lengths on both sides of every window-width boundary
+    // (23/24, 79/80, 239/240, 671/672 bits), 0 and 1; bases 0, m and
+    // above m; all-ones bases, exponents and moduli.
+    const std::uint64_t seed = fuzz_seed(0x5e1d1a6ull);
+    camp::Rng rng(seed);
+    const std::uint64_t boundary_bits[] = {23, 24, 79, 80, 239,
+                                           240, 671, 672};
+    for (int cases = 0; cases < 1000; ++cases) {
+        std::uint64_t ebits;
+        switch (rng.below(4)) {
+        case 0: ebits = rng.below(2); break; // exponent 0 or 1
+        case 1: ebits = boundary_bits[rng.below(8)]; break;
+        default: ebits = 2 + rng.below(100); break;
+        }
+        // Long exponents keep to smaller moduli so the oracle's
+        // divisions stay cheap.
+        const std::size_t limbs = 1 + rng.below(ebits > 240 ? 12 : 80);
+        Natural m;
+        switch (cases % 25) {
+        case 0: m = Natural(1); break;
+        case 1: m = Natural(2); break;
+        case 2: m = all_ones(64 * limbs - rng.below(64)); break;
+        default:
+            m = Natural::random_bits(rng, 64 * limbs - rng.below(64));
+            if (m.is_odd() != (cases % 2 == 0))
+                m = m.is_odd() ? m - Natural(1) : m + Natural(1);
+            if (m < Natural(2))
+                m = Natural(3);
+            break;
+        }
+        Natural base;
+        switch (rng.below(6)) {
+        case 0: break; // 0
+        case 1: base = m; break;
+        case 2: base = m + Natural::random_bits(rng, 1 + rng.below(200));
+            break;
+        case 3: base = all_ones(1 + rng.below(m.bits() + 64)); break;
+        default:
+            base = Natural::random_bits(rng, 1 + rng.below(m.bits()));
+            break;
+        }
+        const Natural exp = ebits == 1 || rng.below(8) == 0
+                                ? all_ones(ebits)
+                                : Natural::random_bits(rng, ebits);
+        ASSERT_EQ(Integer::powmod(base, exp, m),
+                  reference_powmod(base, exp, m))
+            << "case=" << cases << " m_bits=" << m.bits()
+            << " odd=" << m.is_odd() << " e_bits=" << exp.bits()
+            << " base_bits=" << base.bits()
+            << " CAMP_FUZZ_SEED=" << seed;
+    }
 }
 
 TEST(Integer, InvmodInvertsAndThrowsOnNonCoprime)

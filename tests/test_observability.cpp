@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "fuzz_seed.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/trace.hpp"
@@ -27,20 +28,6 @@ namespace trace = camp::support::trace;
 namespace metrics = camp::support::metrics;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 /** RAII save/restore of the global tracing switch so tests cannot
  * leak state into each other. */

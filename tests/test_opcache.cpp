@@ -23,6 +23,7 @@
 
 #include "apps/frac/mandelbrot.hpp"
 #include "apps/pi/chudnovsky.hpp"
+#include "fuzz_seed.hpp"
 #include "mpn/natural.hpp"
 #include "mpn/newton.hpp"
 #include "mpz/integer.hpp"
@@ -42,20 +43,6 @@ using support::OpTag;
 using support::OpValue;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 /** RAII around the process-global cache: force a known enabled state
  * and a cold start, restore the entry state on exit. */

@@ -22,6 +22,7 @@
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
 #include "exec/wave.hpp"
+#include "fuzz_seed.hpp"
 #include "mpapca/runtime.hpp"
 #include "mpn/natural.hpp"
 #include "support/errors.hpp"
@@ -36,20 +37,6 @@ using camp::mpn::Natural;
 using camp::mpapca::Runtime;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 /** Scheduler over @p shards sim instances (fault-free default
  * config), waves never draining. */

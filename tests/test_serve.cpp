@@ -22,6 +22,7 @@
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
 #include "exec/wave.hpp"
+#include "fuzz_seed.hpp"
 #include "mpapca/cost_model.hpp"
 #include "mpapca/ledger.hpp"
 #include "mpn/mul.hpp"
@@ -40,20 +41,6 @@ namespace sim = camp::sim;
 using camp::mpn::Natural;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 /** Device whose batch products come back corrupted *and flagged* for
  * the first @p sick_batches batches, exact afterwards — the breaker's

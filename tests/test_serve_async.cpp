@@ -25,6 +25,7 @@
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
 #include "exec/wave.hpp"
+#include "fuzz_seed.hpp"
 #include "mpapca/cost_model.hpp"
 #include "mpapca/ledger.hpp"
 #include "mpn/natural.hpp"
@@ -45,18 +46,6 @@ namespace support = camp::support;
 using camp::mpn::Natural;
 
 namespace {
-
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 std::vector<serve::RequestStatus>
 statuses_of(const serve::ServeReport& report)

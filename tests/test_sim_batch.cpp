@@ -10,6 +10,7 @@
 
 #include <cstdlib>
 
+#include "fuzz_seed.hpp"
 #include "sim/analytic_model.hpp"
 #include "sim/batch.hpp"
 #include "support/rng.hpp"
@@ -20,20 +21,6 @@ using namespace camp::sim;
 using camp::mpn::Natural;
 
 namespace {
-
-/** Effective fuzz seed: CAMP_FUZZ_SEED when set, else the per-test
- * default. Failures print it for exact replay. */
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 std::vector<std::pair<Natural, Natural>>
 random_batch(camp::Rng& rng, std::size_t count, std::uint64_t max_bits)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "exec/registry.hpp"
+#include "fuzz_seed.hpp"
 #include "mpn/basic.hpp"
 #include "mpn/kernels/internal.hpp"
 #include "mpn/kernels/kernels.hpp"
@@ -35,18 +36,6 @@ using mpn::Limb;
 using mpn::Natural;
 
 namespace {
-
-std::uint64_t
-fuzz_seed(std::uint64_t fallback)
-{
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env)
-            return seed;
-    }
-    return fallback;
-}
 
 /** Restores the dispatched tier on scope exit (tests switch tiers). */
 class TierGuard

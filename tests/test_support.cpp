@@ -1,14 +1,20 @@
 /**
  * @file
  * Support-layer tests: bit helpers, deterministic RNG, least-squares
- * fitting, the table printer, and the multi-hook op-observation
- * mechanism everything above relies on.
+ * fitting, the table printer, the multi-hook op-observation
+ * mechanism everything above relies on, and the fuzz-seed parser.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "fuzz_seed.hpp"
 #include "mpn/natural.hpp"
 #include "mpn/ophook.hpp"
 #include "support/bits.hpp"
@@ -156,4 +162,35 @@ TEST(OpHook, KindNamesAreStable)
     EXPECT_STREQ(mpn::op_kind_name(mpn::OpKind::Mul), "Mul");
     EXPECT_STREQ(mpn::op_kind_name(mpn::OpKind::Sqrt), "Sqrt");
     EXPECT_STREQ(mpn::op_kind_name(mpn::OpKind::Gcd), "Gcd");
+}
+
+TEST(FuzzSeed, AcceptsDecimalAndHexAndThrowsOnJunk)
+{
+    // Save/restore so a CI-level CAMP_FUZZ_SEED replay is unaffected.
+    const char* saved = std::getenv("CAMP_FUZZ_SEED");
+    const std::string saved_value = saved != nullptr ? saved : "";
+    ::unsetenv("CAMP_FUZZ_SEED");
+    EXPECT_EQ(fuzz_seed(42), 42u);
+    const std::pair<const char*, std::uint64_t> good[] = {
+        {"0", 0},
+        {"12", 12},
+        {"012", 12},
+        {"0x1f", 31},
+        {"0XC0FFEE1234ABCDEF", 0xc0ffee1234abcdefull},
+        {"18446744073709551615", ~std::uint64_t{0}},
+    };
+    for (const auto& [text, value] : good) {
+        ::setenv("CAMP_FUZZ_SEED", text, 1);
+        EXPECT_EQ(fuzz_seed(7), value) << text;
+    }
+    for (const char* junk : {"", "12k", "abc", " 12", "-1", "+3", "0x",
+                             "0xg", "18446744073709551616"}) {
+        ::setenv("CAMP_FUZZ_SEED", junk, 1);
+        EXPECT_THROW(fuzz_seed(7), std::invalid_argument)
+            << "'" << junk << "'";
+    }
+    if (saved != nullptr)
+        ::setenv("CAMP_FUZZ_SEED", saved_value.c_str(), 1);
+    else
+        ::unsetenv("CAMP_FUZZ_SEED");
 }
