@@ -30,7 +30,9 @@
  *     default seed only),
  *   - every tenant's p99 virtual latency stays under a bound derived
  *     from the backlog cap (virtual mode only), and
- *   - the shared ledger's fold matches the report exactly.
+ *   - the shared ledger's fold matches the report exactly, and
+ *   - the serve.live_requests gauge reads 0 after the session: the
+ *     engine released every request it admitted, retries included.
  *
  * CI runs the short gated virtual mode (CAMP_SERVE_REQUESTS=400 plus
  * the usual CAMP_BENCH_GATE/CAMP_BENCH_BASELINE perf gate) and an
@@ -56,6 +58,7 @@
 #include "sim/config.hpp"
 #include "support/env.hpp"
 #include "support/fault.hpp"
+#include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 
 namespace serve = camp::serve;
@@ -172,6 +175,17 @@ main(int argc, char** argv)
     // ---- correctness harness ---------------------------------------
     if (!report.conserved())
         return fail("conservation identities violated");
+    const std::int64_t live =
+        camp::support::metrics::gauge("serve.live_requests").value();
+    std::printf("serve_soak: live requests after the session %lld "
+                "(high water %lld)\n",
+                static_cast<long long>(live),
+                static_cast<long long>(
+                    camp::support::metrics::gauge(
+                        "serve.live_requests.high_water")
+                        .value()));
+    if (live != 0)
+        return fail("requests still live after the session");
     std::uint64_t attempts = 0;
     for (std::size_t i = 0; i < workload.size(); ++i) {
         const serve::Outcome& outcome = report.outcomes[i];

@@ -19,12 +19,15 @@
 #     negative control (a doctored baseline MUST fail the gate; skip
 #     with CAMP_CI_SKIP_PERF=1), plus the short serving soak —
 #     bench/serve_soak with fault injection armed, which self-checks
-#     zero wrong results, conservation, bounded p99, and exact ledger
-#     accounting before the perf gate even runs — plus an ungated
-#     short `serve_soak --wall` leg (hard correctness asserts, no
-#     latency gates; in wall mode a wave the engine would join before
-#     returning runs inline, and only a wave that outlives the pump
-#     overlaps on a worker thread), plus an ungated end-to-end
+#     zero wrong results, conservation, bounded p99, exact ledger
+#     accounting, and that the serve.live_requests gauge reads 0
+#     after the session (the engine released every request it
+#     admitted) before the perf gate even runs — plus an ungated
+#     short `serve_soak --wall` leg (the same hard correctness
+#     asserts, live-request gauge included, no latency gates; in wall
+#     mode a wave the engine would join before returning runs inline,
+#     and only a wave that outlives the pump runs on its own worker
+#     thread), plus an ungated end-to-end
 #     smoke: bench/e2e's camp_bench on serve-small (cpu), serve-large
 #     (4-shard cpu) and rsa-4096 (CRT decrypt round trips),
 #     digest-checking every result, run with every CAMP_* variable
@@ -47,8 +50,9 @@
 #     their SoA item arrays from per-thread scratch frames), sharded
 #     scheduler, memory plane (per-thread arena magazines +
 #     concurrent wave slot writes), serving layer (concurrent ledger
-#     folding), async wall-clock serving (overlapping wave workers,
-#     handle callbacks, the differential oracle), operand cache
+#     folding), async wall-clock serving (engine-owned wave workers
+#     and their caught device throws, held and dropped handles,
+#     callbacks, the differential oracle), operand cache
 #     (sharded LRU hit/miss/evict races) — at CAMP_THREADS=4
 #     (skip with CAMP_CI_SKIP_SANITIZE=1);
 #  5. report-only coverage summary via gcovr/gcov when available
@@ -148,8 +152,9 @@ if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then
     # Serving soak, short mode: 400 requests of the mixed multi-tenant
     # workload against a breaker-guarded SimDevice with fault
     # injection armed. The binary exits nonzero on any wrong result,
-    # broken conservation identity, unbounded p99, or ledger
-    # mismatch — the perf gate on top only catches throughput
+    # broken conservation identity, unbounded p99, ledger mismatch,
+    # or a request still live after the session (serve.live_requests
+    # != 0) — the perf gate on top only catches throughput
     # regressions. The shed/timeout sets are deterministic for the
     # default seed (override with CAMP_FUZZ_SEED to replay a failure).
     SOAK_BASELINE="bench/baselines/BENCH_serve_soak.json"
@@ -164,7 +169,8 @@ if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then
     # Wall-clock serving leg: the same soak, short, in --wall mode —
     # CAMP_SERVE_INFLIGHT=4 overlapping waves on real worker threads.
     # The binary keeps every *correctness* invariant hard (zero wrong
-    # results, conservation, exact ledger fold) but wall timings are
+    # results, conservation, exact ledger fold, no live request after
+    # the session) but wall timings are
     # scheduling noise by construction, so this leg carries no
     # CAMP_BENCH_GATE and no latency bound (DESIGN.md §15).
     echo "==== serve soak (short, --wall, inflight=4, ungated) ===="

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <numeric>
 #include <string>
 
 #include "exec/wave.hpp"
+#include "support/trace.hpp"
 
 namespace camp::exec {
 
@@ -26,6 +28,28 @@ Device::mul_batch(
     for (const std::size_t item : items)
         result.products.push_back(wave.take_result(item));
     return result;
+}
+
+WaveRun
+run_wave(Device& device, WaveBuffer& wave, std::vector<std::size_t>& items,
+         std::vector<std::uint64_t>& indices, unsigned parallelism,
+         const char* span_name)
+{
+    items.resize(wave.size());
+    indices.resize(wave.size());
+    std::iota(items.begin(), items.end(), std::size_t{0});
+    std::iota(indices.begin(), indices.end(), std::uint64_t{0});
+    WaveRun run;
+    support::trace::Span span(span_name, "exec");
+    span.arg("count", static_cast<double>(wave.size()));
+    try {
+        run.result =
+            device.mul_batch_wave(wave, items, indices, parallelism);
+    } catch (const std::exception& e) {
+        run.error = error_code_of(e);
+        run.message = e.what();
+    }
+    return run;
 }
 
 const char*

@@ -28,12 +28,14 @@
 #define CAMP_EXEC_DEVICE_HPP
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
 #include "sim/batch.hpp"
+#include "support/errors.hpp"
 
 namespace camp::exec {
 
@@ -73,7 +75,7 @@ struct MulOutcome
  * reseed the same stream and replay the same corruption every retry.
  *
  * Thread-compatibility contract: a Device may be driven from pool
- * tasks (SubmitQueue does), but concurrent calls into the *same*
+ * tasks and wave worker threads, but concurrent calls into the *same*
  * device instance are not synchronized here — batch fan-out happens
  * inside mul_batch_wave, which owns its parallelism.
  */
@@ -161,6 +163,29 @@ class Device
     mpn::MulTuning tuning_; ///< concrete constructors initialize
 
 };
+
+/** One wave's device call, its failure caught (see run_wave). */
+struct WaveRun
+{
+    sim::BatchResult result;         ///< accounting, when error == Ok
+    ErrorCode error = ErrorCode::Ok; ///< category of the device's throw
+    std::string message;             ///< what() of the device's throw
+};
+
+/**
+ * Multiply every item of @p wave on @p device through mul_batch_wave,
+ * with items and fault-seed indices 0..n-1 in wave order, inside the
+ * trace span @p span. @p items and @p indices are the caller's scratch,
+ * so their capacity recycles wave over wave. A device throw is caught
+ * here, on whichever thread runs the wave, and returned as its
+ * error_code_of category: the caller records that one typed error for
+ * every product of the wave (SubmitQueue's futures rethrow it, the
+ * serve engine settles or retries on it).
+ */
+WaveRun run_wave(Device& device, WaveBuffer& wave,
+                 std::vector<std::size_t>& items,
+                 std::vector<std::uint64_t>& indices,
+                 unsigned parallelism, const char* span);
 
 /**
  * Thresholds retuned for a hardware backend with an @p cap_bits-bit

@@ -31,8 +31,6 @@ struct SchedulerMetrics
     metrics::Counter* redistributed;
     metrics::Counter* cpu_fallbacks;
     metrics::Counter* drains;
-    metrics::Counter* affinity_hits;
-    metrics::Counter* affinity_misses;
     metrics::Gauge* inflight;
 };
 
@@ -48,33 +46,10 @@ scheduler_metrics()
         sm->cpu_fallbacks =
             &metrics::counter("exec.scheduler.cpu_fallbacks");
         sm->drains = &metrics::counter("exec.scheduler.drains");
-        sm->affinity_hits =
-            &metrics::counter("exec.scheduler.affinity_hits");
-        sm->affinity_misses =
-            &metrics::counter("exec.scheduler.affinity_misses");
         sm->inflight = &metrics::gauge("exec.scheduler.inflight");
         return sm;
     }();
     return *m;
-}
-
-/** FNV-1a over both operands' limbs — the sticky-session identity of
- * an operand pair. Collisions only mis-place a placement hint. */
-std::uint64_t
-operand_digest(mpn::LimbView a, mpn::LimbView b)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    const auto mix = [&hash](mpn::LimbView view) {
-        for (std::size_t i = 0; i < view.size(); ++i) {
-            hash ^= view.limb(i);
-            hash *= 1099511628211ull;
-        }
-        hash ^= view.size() + 0x9e3779b97f4a7c15ull;
-        hash *= 1099511628211ull;
-    };
-    mix(a);
-    mix(b);
-    return hash;
 }
 
 } // namespace
@@ -116,8 +91,6 @@ shard_policy_from_env()
         support::env_positive_unsigned("CAMP_SHARDS", policy.shards);
     policy.max_inflight_waves = support::env_positive_unsigned(
         "CAMP_SHARD_INFLIGHT", policy.max_inflight_waves);
-    policy.sticky_sessions =
-        support::env_flag("CAMP_SHARD_STICKY", policy.sticky_sessions);
     if (const char* env = std::getenv("CAMP_SHARD_BACKENDS")) {
         std::string token;
         std::istringstream list(env);
@@ -384,80 +357,6 @@ ShardedScheduler::lpt_assign(
     return assign;
 }
 
-std::vector<std::vector<std::size_t>>
-ShardedScheduler::assign_sticky(
-    const std::vector<std::vector<double>>& weights,
-    const std::vector<std::size_t>& alive,
-    const std::vector<std::uint64_t>& digests)
-{
-    const std::size_t shards = weights.size();
-    const std::size_t items = digests.size();
-    std::vector<double> load(shards, 0.0);
-    std::vector<std::vector<std::size_t>> assign(shards);
-    std::vector<std::size_t> rest;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    {
-        std::lock_guard<std::mutex> lock(affinity_mutex_);
-        if (affinity_.size() > policy_.sticky_capacity)
-            affinity_.clear();
-        for (std::size_t i = 0; i < items; ++i) {
-            const auto it = affinity_.find(digests[i]);
-            std::size_t pinned = shards; // position in the alive list
-            if (it != affinity_.end())
-                for (std::size_t s = 0; s < alive.size(); ++s)
-                    if (alive[s] == it->second) {
-                        pinned = s;
-                        break;
-                    }
-            if (pinned != shards) {
-                // A repeat of a known pair on a still-alive shard:
-                // stay there (warm operand footprint).
-                assign[pinned].push_back(i);
-                load[pinned] += weights[pinned][i];
-                ++hits;
-            } else {
-                rest.push_back(i);
-            }
-        }
-        // LPT for the fresh items, balanced around the pinned load
-        // (same placement rule as lpt_assign, with nonzero starts).
-        std::vector<double> key(items, 0.0);
-        for (const std::size_t i : rest)
-            for (std::size_t s = 0; s < shards; ++s)
-                key[i] = std::max(key[i], weights[s][i]);
-        std::stable_sort(rest.begin(), rest.end(),
-                         [&key](std::size_t a, std::size_t b) {
-                             return key[a] > key[b];
-                         });
-        for (const std::size_t item : rest) {
-            std::size_t best = 0;
-            double best_finish = load[0] + weights[0][item];
-            for (std::size_t s = 1; s < shards; ++s) {
-                const double finish = load[s] + weights[s][item];
-                if (finish < best_finish) {
-                    best = s;
-                    best_finish = finish;
-                }
-            }
-            load[best] = best_finish;
-            assign[best].push_back(item);
-            affinity_[digests[item]] = alive[best];
-            ++misses;
-        }
-    }
-    for (auto& mine : assign)
-        std::sort(mine.begin(), mine.end());
-    {
-        std::lock_guard<std::mutex> lock(state_mutex_);
-        stats_.affinity_hits += hits;
-        stats_.affinity_misses += misses;
-    }
-    scheduler_metrics().affinity_hits->add(hits);
-    scheduler_metrics().affinity_misses->add(misses);
-    return assign;
-}
-
 Natural
 ShardedScheduler::recover_product(std::size_t from, const Natural& a,
                                   const Natural& b,
@@ -609,15 +508,7 @@ ShardedScheduler::mul_batch_wave(WaveBuffer& wave,
                                   1, wave.operand_b(items[i]).bits()))
                         .seconds;
         }
-        if (policy_.sticky_sessions) {
-            std::vector<std::uint64_t> digests(count);
-            for (std::size_t i = 0; i < count; ++i)
-                digests[i] = operand_digest(wave.operand_a(items[i]),
-                                            wave.operand_b(items[i]));
-            assign = assign_sticky(weights, alive, digests);
-        } else {
-            assign = lpt_assign(weights);
-        }
+        assign = lpt_assign(weights);
     }
 
     // Per-shard staging out of this slot's recycled storage: only the

@@ -46,7 +46,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/checked.hpp"
@@ -81,25 +80,10 @@ struct ShardPolicy
      * drain (differential tests use 0 so every shard count executes
      * the same shard set). */
     std::uint64_t drain_fault_threshold = 1;
-
-    /** Session stickiness for repeated-operand traffic (the serving
-     * plane's repeat_fraction clients): remember an operand-pair
-     * digest -> shard affinity on the zero-copy wave path and pin
-     * repeats to their previous shard (warm operand footprint), with
-     * the remaining items LPT-balanced around the pinned load.
-     * Placement only — products are bit-identical wherever they run
-     * (the wave-global fault-seed contract), so stickiness never
-     * changes results. */
-    bool sticky_sessions = false;
-
-    /** Affinity entries retained before the table resets (bounds the
-     * digest map; a reset only costs warm-cache misses). */
-    std::size_t sticky_capacity = 4096;
 };
 
 /** ShardPolicy from CAMP_SHARDS / CAMP_SHARD_BACKENDS /
- * CAMP_SHARD_INFLIGHT / CAMP_SHARD_STICKY (throws
- * camp::InvalidArgument on junk). */
+ * CAMP_SHARD_INFLIGHT (throws camp::InvalidArgument on junk). */
 ShardPolicy shard_policy_from_env();
 
 /** Per-shard lifetime counters (one scheduler instance). */
@@ -119,8 +103,6 @@ struct SchedulerStats
     std::uint64_t redistributed = 0; ///< sum of per-shard redistributed
     std::uint64_t cpu_fallbacks = 0; ///< recoveries served by host CPU
     std::uint64_t drains = 0;        ///< shards drained
-    std::uint64_t affinity_hits = 0;   ///< items pinned to their shard
-    std::uint64_t affinity_misses = 0; ///< items placed fresh by LPT
 };
 
 class ShardedScheduler : public Device
@@ -254,15 +236,6 @@ class ShardedScheduler : public Device
 
     void init(std::vector<std::unique_ptr<Device>> devices);
 
-    /** Sticky partition: pinned repeats first (affinity table lookup,
-     * pinned load charged to the shard), then LPT for the rest around
-     * that load, recording the fresh placements. Same return shape as
-     * lpt_assign. */
-    std::vector<std::vector<std::size_t>>
-    assign_sticky(const std::vector<std::vector<double>>& weights,
-                  const std::vector<std::size_t>& alive,
-                  const std::vector<std::uint64_t>& digests);
-
     std::vector<std::size_t> alive_shards() const;
     void drain_shard(std::size_t i, const char* why);
 
@@ -295,9 +268,6 @@ class ShardedScheduler : public Device
     std::condition_variable wave_cv_;
     std::vector<unsigned> free_slots_;  ///< available wave-slot ids
     std::vector<WaveStaging> staging_;  ///< indexed by wave-slot id
-
-    std::mutex affinity_mutex_; ///< sticky-session digest table
-    std::unordered_map<std::uint64_t, std::size_t> affinity_;
 };
 
 } // namespace camp::exec

@@ -2,13 +2,14 @@
  * @file
  * WaveBuffer: arena-backed storage owning every operand and result of
  * one coalesced wave — the ownership half of the zero-copy dispatch
- * path (DESIGN.md §14). SubmitQueue copies each submitted operand
- * exactly once, into its fill-side WaveBuffer; from there the wave
- * flows through ShardedScheduler and Device::mul_batch_wave as item
- * indices plus mpn::LimbView spans, and devices write products
- * straight into the wave's preallocated result slots. Steady-state
- * pooled dispatch (reset() between waves) touches the system allocator
- * zero times.
+ * path (DESIGN.md §14). Whoever forms a wave owns its buffer and copies
+ * each operand into it exactly once: SubmitQueue into its fill side,
+ * the serve engine into the pooled buffer of the wave it dispatches.
+ * From there the wave flows through ShardedScheduler and
+ * Device::mul_batch_wave (exec::run_wave) as item indices plus
+ * mpn::LimbView spans, and devices write products straight into the
+ * wave's preallocated result slots. Steady-state pooled dispatch
+ * (reset() between waves) touches the system allocator zero times.
  *
  * Lifetime rules (the view-validity contract):
  *  - add() may only be called between construction/reset() and the

@@ -66,9 +66,9 @@ struct ServeConfig
     std::size_t wave_size = 16;
 
     /** Waves the dispatch pipeline may overlap: wave n+1 may be
-     * claimed and dispatched while waves n-k..n still execute, k <
-     * max_inflight_waves (the SubmitQueue ring depth). 1 = the
-     * classic one-wave-at-a-time engine. */
+     * dispatched while waves n-k..n are still in flight, k <
+     * max_inflight_waves. The engine owns one pooled wave buffer per
+     * wave in flight. 1 = the classic one-wave-at-a-time engine. */
     unsigned max_inflight_waves = 1;
 
     /** Deadline assigned at admission to requests that carry none

@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "exec/queue.hpp"
+#include "exec/wave.hpp"
 #include "mpn/mul.hpp"
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
@@ -145,17 +145,28 @@ struct HandleState
     std::mutex mutex;
     std::condition_variable cv;
     bool settled = false;
-    Outcome outcome; ///< copied (product included) at settlement
+    /** Copied (product included) at settlement when the client still
+     * holds the handle; left empty for a dropped one. */
+    Outcome outcome;
     std::function<void(const Outcome&)> callback;
 };
 
 namespace {
 
+/** One live request: the engine's own copy of it, held from admission
+ * until it settles, then returned to the free list. A recycled slot
+ * keeps its limb capacity. */
+struct RequestSlot
+{
+    Request req;
+    std::size_t index = 0; ///< arrival position in the report
+    std::shared_ptr<HandleState> handle; ///< null: no handle asked for
+};
+
 /** One admitted request travelling through the server. */
 struct Entry
 {
-    std::size_t index = 0; ///< arrival position
-    const Request* req = nullptr;
+    RequestSlot* slot = nullptr;
     std::size_t tenant = 0;          ///< tenant-state index
     std::uint64_t deadline_us = 0;   ///< effective (default applied)
     double cost_us = 1.0;            ///< device estimate
@@ -229,19 +240,55 @@ struct EntryKey
 EntryKey
 key_of(const Entry& entry)
 {
-    return {static_cast<int>(entry.req->priority),
-            entry.req->arrival_us, entry.req->id};
+    const Request& req = entry.slot->req;
+    return {static_cast<int>(req.priority), req.arrival_us, req.id};
+}
+
+/** One wave from dispatch to its completion event. Pooled by the
+ * engine: entries, results, the wave buffer and the run_wave scratch
+ * keep their capacity from wave to wave. */
+struct Wave
+{
+    std::vector<Entry> entries;
+    std::vector<ExecResult> results; ///< filled by harvest()
+    exec::WaveBuffer buffer; ///< the cache misses' operands and products
+    std::vector<std::size_t> items;
+    std::vector<std::uint64_t> indices;
+    exec::WaveRun run;  ///< the device call's outcome
+    std::thread worker; ///< a wall wave outliving its pump
+    double completion_us = 0.0;
+    std::uint64_t injected = 0;
+};
+
+/** Process-wide serve.live_requests gauge (requests admitted to some
+ * engine and not yet settled) and its high-water mark. Gauge has no
+ * add(), so a count under a mutex feeds it; that keeps the gauge exact
+ * when several engines run on different threads. */
+void
+add_live_requests(std::int64_t delta)
+{
+    static std::mutex mutex;
+    static std::int64_t live = 0;
+    static metrics::Gauge& gauge = metrics::gauge("serve.live_requests");
+    static metrics::Gauge& high_water =
+        metrics::gauge("serve.live_requests.high_water");
+    std::lock_guard<std::mutex> lock(mutex);
+    live += delta;
+    gauge.set(live);
+    high_water.update_max(live);
 }
 
 } // namespace
 
 /**
  * The one decision engine behind both Server::process and
- * Server::submit_async. All state mutation happens on the caller's
- * thread (arrive/pump/finish are never called concurrently); the only
- * cross-thread traffic is wall-mode wave execution, confined to the
- * SubmitQueue's own synchronization, and Handle waiters on their own
- * HandleState mutexes.
+ * Server::submit_async, and the single owner of every live request
+ * (its RequestSlot) and of every wave in flight (its pooled Wave). All
+ * state mutation happens on the caller's thread (arrive/pump/finish
+ * are never called concurrently); the only cross-thread traffic is a
+ * wall-mode wave's worker, which touches nothing but its own Wave and
+ * the device until complete_wave joins it, and Handle waiters on their
+ * own HandleState mutexes.
  *
  * Incremental pumping reproduces the classic batch event loop exactly:
  * pump_to(T) processes every completion/retry event at times <= T and
@@ -258,7 +305,6 @@ class Engine
            support::OpCache* opcache)
         : config_(config), device_(device), fault_sink_(fault_sink),
           clock_(clock), opcache_(opcache),
-          queue_(device, 0, 0, config.max_inflight_waves),
           cap_bits_(device.base_cap_bits()),
           host_device_(device.kind() == exec::DeviceKind::Host),
           karatsuba_limbs_(mpn::mul_tuning().karatsuba)
@@ -268,10 +314,12 @@ class Engine
     ~Engine()
     {
         // Abandoned session: waves may still be executing; join them
-        // so no worker outlives the queue they write into.
-        for (WaveInFlight& wave : inflight_)
-            if (wave.worker.joinable())
-                wave.worker.join();
+        // so no worker outlives the Wave it writes into.
+        for (Wave* wave : inflight_)
+            if (wave->worker.joinable())
+                wave->worker.join();
+        add_live_requests(-static_cast<std::int64_t>(
+            slots_.size() - free_slots_.size()));
     }
 
     std::shared_ptr<HandleState>
@@ -285,13 +333,17 @@ class Engine
         pump_to(static_cast<double>(request.arrival_us));
         vnow_ = std::max(vnow_,
                          static_cast<double>(request.arrival_us));
-        requests_.push_back(request);
+        RequestSlot& slot = take_slot(request);
+        slot.index = report_.outcomes.size();
         report_.outcomes.emplace_back();
+        // The local reference keeps a handle settled by admission
+        // below counted as held, so it gets its own outcome copy.
         std::shared_ptr<HandleState> handle;
-        if (want_handle)
+        if (want_handle) {
             handle = std::make_shared<HandleState>();
-        handles_.push_back(handle);
-        admit(requests_.size() - 1);
+            slot.handle = handle;
+        }
+        admit(slot);
         return handle;
     }
 
@@ -303,15 +355,53 @@ class Engine
     }
 
   private:
-    struct WaveInFlight
+    /** Copy @p request into a free slot (the request's one copy while
+     * it is live). */
+    RequestSlot&
+    take_slot(const Request& request)
     {
-        std::vector<Entry> entries;
-        std::vector<ExecResult> results; ///< inline waves: at dispatch
-        std::vector<exec::SubmitQueue::Future> futures;
-        std::thread worker; ///< a wall wave outliving its pump
-        double completion_us = 0.0;
-        std::uint64_t injected = 0;
-    };
+        RequestSlot* slot;
+        if (free_slots_.empty()) {
+            slots_.emplace_back();
+            slot = &slots_.back();
+        } else {
+            slot = free_slots_.back();
+            free_slots_.pop_back();
+        }
+        slot->req = request;
+        add_live_requests(1);
+        return *slot;
+    }
+
+    /** The request settled: hand its outcome to a handle, then recycle
+     * the slot. */
+    void
+    release_slot(RequestSlot& slot)
+    {
+        std::shared_ptr<HandleState> handle = std::move(slot.handle);
+        const std::size_t index = slot.index;
+        free_slots_.push_back(&slot);
+        add_live_requests(-1);
+        if (handle == nullptr)
+            return;
+        const Outcome& outcome = report_.outcomes[index];
+        // Only the engine's reference left: the client dropped the
+        // handle, and nobody can copy it again. Such a handle costs no
+        // outcome copy; its callback reads the report's outcome.
+        const bool held = handle.use_count() > 1;
+        std::function<void(const Outcome&)> callback;
+        {
+            std::lock_guard<std::mutex> lock(handle->mutex);
+            if (held)
+                handle->outcome = outcome; // deep copy, product included
+            handle->settled = true;
+            callback = std::move(handle->callback);
+            handle->callback = nullptr;
+        }
+        handle->cv.notify_all();
+        if (callback)
+            callback(outcome);
+    }
 
     double
     cost_estimate(const Request& req) const
@@ -362,6 +452,7 @@ class Engine
                support::Clock::duration{0})
     {
         const std::uint64_t when_us = static_cast<std::uint64_t>(when);
+        const Request& req = entry.slot->req;
         // The serving clock follows the settlement ledger: a virtual
         // clock is steered to the settle stamp (settles are
         // time-ordered, so now_us == when_us and the skew is
@@ -370,8 +461,8 @@ class Engine
         clock_.advance_to_us(when_us);
         const std::uint64_t wall_us = clock_.now_us();
 
-        Outcome& outcome = report_.outcomes[entry.index];
-        outcome.id = entry.req->id;
+        Outcome& outcome = report_.outcomes[entry.slot->index];
+        outcome.id = req.id;
         outcome.status = status;
         outcome.error = error;
         outcome.retry_after = retry_after;
@@ -386,8 +477,7 @@ class Engine
         TenantCounters& c = tenant.counters;
         switch (status) {
         case RequestStatus::Completed: {
-            const std::uint64_t latency =
-                when_us - entry.req->arrival_us;
+            const std::uint64_t latency = when_us - req.arrival_us;
             outcome.latency_us = latency;
             outcome.product = std::move(product);
             tenant.latencies_us.push_back(latency);
@@ -402,19 +492,19 @@ class Engine
         }
         case RequestStatus::ShedAdmission:
             ++c.shed_admission;
-            report_.shed_ids.push_back(entry.req->id);
+            report_.shed_ids.push_back(req.id);
             break;
         case RequestStatus::ShedEvicted:
             ++c.shed_evicted;
-            report_.shed_ids.push_back(entry.req->id);
+            report_.shed_ids.push_back(req.id);
             break;
         case RequestStatus::RejectedDeadline:
             ++c.rejected_deadline;
-            report_.timeout_ids.push_back(entry.req->id);
+            report_.timeout_ids.push_back(req.id);
             break;
         case RequestStatus::TimedOut:
             ++c.timeouts;
-            report_.timeout_ids.push_back(entry.req->id);
+            report_.timeout_ids.push_back(req.id);
             break;
         case RequestStatus::Failed:
             ++c.failed;
@@ -435,26 +525,7 @@ class Engine
                      static_cast<double>(outcome.skew_us));
         }
 
-        notify_handle(entry.index);
-    }
-
-    void
-    notify_handle(std::size_t index)
-    {
-        const std::shared_ptr<HandleState>& handle = handles_[index];
-        if (handle == nullptr)
-            return;
-        std::function<void(const Outcome&)> callback;
-        {
-            std::lock_guard<std::mutex> lock(handle->mutex);
-            handle->outcome = report_.outcomes[index]; // deep copy
-            handle->settled = true;
-            callback = std::move(handle->callback);
-            handle->callback = nullptr;
-        }
-        handle->cv.notify_all();
-        if (callback)
-            callback(handle->outcome);
+        release_slot(*entry.slot);
     }
 
     /** Backlog-drain hint for Unavailable outcomes. */
@@ -472,16 +543,15 @@ class Engine
 
     // --- admission -------------------------------------------------
     void
-    admit(std::size_t index)
+    admit(RequestSlot& slot)
     {
-        const Request& req = requests_[index];
+        const Request& req = slot.req;
         const std::size_t t = tenant_of(req);
         TenantState& tenant = tenants_[t];
         ++tenant.counters.submitted;
 
         Entry entry;
-        entry.index = index;
-        entry.req = &req;
+        entry.slot = &slot;
         entry.tenant = t;
         entry.cost_us = cost_estimate(req);
         entry.deadline_us = req.deadline_us;
@@ -527,7 +597,7 @@ class Engine
             }
             if (victim == ready_.size())
                 break;
-            const Entry evicted = ready_[victim];
+            Entry evicted = std::move(ready_[victim]);
             ready_.erase(ready_.begin() +
                          static_cast<std::ptrdiff_t>(victim));
             queued_cost_us_ -= evicted.cost_us;
@@ -571,8 +641,8 @@ class Engine
     cpu_fallback(Entry& entry, double when)
     {
         ++wave_fallbacks_;
-        complete_exact(entry, entry.req->a * entry.req->b, when,
-                       /*fallback=*/true);
+        complete_exact(entry, entry.slot->req.a * entry.slot->req.b,
+                       when, /*fallback=*/true);
     }
 
     void
@@ -595,7 +665,7 @@ class Engine
                 entry.ready_us = ready_at;
                 ++tenant.queued;
                 queued_cost_us_ += entry.cost_us;
-                ready_.push_back(entry);
+                ready_.push_back(std::move(entry));
                 return;
             }
             // A backoff that outlives the deadline is pointless;
@@ -643,8 +713,7 @@ class Engine
         }
         CAMP_ASSERT(!picked_.empty());
         std::sort(picked_.begin(), picked_.end());
-        WaveInFlight wave;
-        wave.entries.reserve(picked_.size());
+        Wave& wave = acquire_wave();
         for (auto it = picked_.rbegin(); it != picked_.rend(); ++it) {
             wave.entries.push_back(std::move(ready_[*it]));
             ready_.erase(ready_.begin() +
@@ -662,6 +731,7 @@ class Engine
         std::size_t kept = 0;
         for (std::size_t i = 0; i < wave.entries.size(); ++i) {
             Entry& entry = wave.entries[i];
+            const Request& req = entry.slot->req;
             --tenants_[entry.tenant].queued;
             queued_cost_us_ -= entry.cost_us;
             // Deadline gate at dispatch: expired work is dropped, not
@@ -676,8 +746,7 @@ class Engine
             // whole coalesced batch with InvalidArgument; fail it
             // individually instead.
             if (cap_bits_ != 0 &&
-                (entry.req->a.bits() > cap_bits_ ||
-                 entry.req->b.bits() > cap_bits_)) {
+                (req.a.bits() > cap_bits_ || req.b.bits() > cap_bits_)) {
                 settle(entry, RequestStatus::Failed,
                        ErrorCode::InvalidArgument, vnow_);
                 continue;
@@ -692,9 +761,9 @@ class Engine
             // timeline — and with it every shed/deadline decision —
             // is byte-identical with the cache off. The key is built
             // once and kept in the entry for the insert at completion.
-            if (opcache_ != nullptr && cache_admits(*entry.req)) {
+            if (opcache_ != nullptr && cache_admits(req)) {
                 if (entry.cache_key.material.empty())
-                    entry.cache_key = product_key(*entry.req);
+                    entry.cache_key = product_key(req);
                 if (const auto hit = opcache_->lookup(entry.cache_key)) {
                     entry.from_cache = true;
                     // Copy-on-return: cached limbs stay immutable.
@@ -709,69 +778,96 @@ class Engine
         wave.entries.erase(wave.entries.begin() +
                                static_cast<std::ptrdiff_t>(kept),
                            wave.entries.end());
-        if (wave.entries.empty())
+        if (wave.entries.empty()) {
+            release_wave(wave);
             return; // everything expired; no device work
+        }
 
         support::trace::Span span("serve.wave", "serve");
         span.arg("count", static_cast<double>(wave.entries.size()));
         span.arg("cost_us", wave_cost);
 
-        // Real execution through the coalescing queue: the typed-error
-        // futures of the exec plane are the actual failure channel.
-        // Cache hits skip the device entirely — only misses submit.
-        wave.futures.reserve(wave.entries.size());
+        // Real execution: the misses' operands are copied into the
+        // wave's own buffer, item k = the k-th miss in entry order, and
+        // that order is also each product's fault-seed index. Cache
+        // hits skip the device entirely.
         for (const Entry& entry : wave.entries)
             if (!entry.from_cache)
-                wave.futures.push_back(
-                    queue_.submit(entry.req->a, entry.req->b));
+                wave.buffer.add(entry.slot->req.a, entry.slot->req.b);
         // Pipelined service: the device starts this wave when it
         // finishes the previous one (in-order pipeline); with
         // max_inflight_waves == 1 this is exactly vnow + cost.
         wave.completion_us = std::max(vnow_, device_free_us_) +
                              std::max(1.0, wave_cost);
-        if (wave.futures.empty()) {
-            // Every entry hit the cache: nothing to flush, and the
+        if (wave.buffer.size() == 0) {
+            // Every entry hit the cache: nothing to run, and the
             // results can be materialized immediately in either mode.
             harvest(wave);
         } else if (config_.wall_clock && wave.completion_us > target) {
-            // Wall mode, and the wave outlives this pump: claim it
-            // (ring backpressure can never bite here — the engine
-            // bounds in-flight waves to the ring depth) and execute it
+            // Wall mode, and the wave outlives this pump: execute it
             // on its own worker, overlapping the client; results are
             // harvested at the wave's virtual completion event.
             static metrics::Counter& async_waves =
                 metrics::counter("serve.waves.async");
             async_waves.add();
-            exec::SubmitQueue::Ticket ticket = queue_.begin_flush();
-            CAMP_ASSERT(ticket.valid());
-            wave.worker = std::thread(
-                [this, t = std::move(ticket)]() mutable {
-                    queue_.run_flush(std::move(t));
-                });
+            wave.worker = std::thread([this, &wave] { run(wave); });
         } else {
             // Virtual mode, or a wall wave this pump reaches the
-            // completion of (and would join before returning): the
-            // flush runs inline; harvest now and hold the results
-            // until the completion event.
-            queue_.flush();
+            // completion of (and would join before returning): run it
+            // inline; harvest now and hold the results until the
+            // completion event.
+            run(wave);
             harvest(wave);
         }
         device_free_us_ = wave.completion_us;
         ++report_.waves;
         static metrics::Counter& waves = metrics::counter("serve.waves");
         waves.add();
-        inflight_.push_back(std::move(wave));
+        inflight_.push_back(&wave);
+    }
+
+    /** A pooled wave, empty. At most max_inflight_waves exist: one is
+     * taken only when fewer than that are in flight. */
+    Wave&
+    acquire_wave()
+    {
+        if (free_waves_.empty()) {
+            waves_.push_back(std::make_unique<Wave>());
+            return *waves_.back();
+        }
+        Wave& wave = *free_waves_.back();
+        free_waves_.pop_back();
+        return wave;
+    }
+
+    void
+    release_wave(Wave& wave)
+    {
+        wave.entries.clear();
+        wave.injected = 0;
+        free_waves_.push_back(&wave);
+    }
+
+    /** The wave's device call, on whichever thread runs the wave;
+     * run_wave turns a device throw into the typed error that
+     * harvest() hands to every product of the wave. */
+    void
+    run(Wave& wave)
+    {
+        wave.run = exec::run_wave(device_, wave.buffer, wave.items,
+                                  wave.indices, 0, "serve.wave.device");
     }
 
     /** Resolve the wave into results: cache hits materialize from the
-     * entry's cached product; misses consume their futures in order
-     * (non-blocking when the flush already ran; triggers it
-     * otherwise). */
+     * entry's cached product, misses take their product out of the
+     * wave buffer in item order (or the wave's typed error). The
+     * buffer is then free for the next wave. */
     void
-    harvest(WaveInFlight& wave)
+    harvest(Wave& wave)
     {
+        wave.results.clear();
         wave.results.resize(wave.entries.size());
-        std::size_t future = 0;
+        std::size_t item = 0;
         for (std::size_t i = 0; i < wave.entries.size(); ++i) {
             ExecResult& res = wave.results[i];
             if (wave.entries[i].from_cache) {
@@ -779,34 +875,35 @@ class Engine
                 // nothing injected — the device never saw it.
                 res.product =
                     std::move(wave.entries[i].cached_product);
-                res.error = ErrorCode::Ok;
                 continue;
             }
-            CAMP_ASSERT(future < wave.futures.size());
-            res.error = wave.futures[future].error();
+            res.error = wave.run.error;
             if (res.error == ErrorCode::Ok) {
-                // take(): moves the product out of the queue slot —
-                // this delivery edge used to deep-copy every product.
-                res.product = wave.futures[future].take();
-                res.faulty = wave.futures[future].faulty();
-                res.injected = wave.futures[future].injected();
+                const sim::BatchProductStats& stats =
+                    wave.run.result.per_product[item];
+                // Delivery edge: the product leaves the wave's
+                // lifetime here.
+                res.product = wave.buffer.take_result(item);
+                res.faulty = stats.faulty;
+                res.injected = stats.injected;
                 wave.injected += res.injected;
             }
-            ++future;
+            ++item;
         }
-        wave.futures.clear();
+        CAMP_ASSERT(item == wave.buffer.size());
+        wave.buffer.reset();
     }
 
     // --- wave completion -------------------------------------------
     void
     complete_wave()
     {
-        WaveInFlight wave = std::move(inflight_.front());
-        inflight_.pop_front();
+        Wave& wave = *inflight_.front();
+        inflight_.erase(inflight_.begin());
         if (wave.worker.joinable()) {
             // A wall wave that outlived its pump: the join is the
-            // synchronization edge — after it, every future of this
-            // wave is ready and error() / take() below cannot block.
+            // synchronization edge — after it, the worker's products
+            // and its run outcome are ours to read.
             wave.worker.join();
             harvest(wave);
         }
@@ -862,6 +959,7 @@ class Engine
             delta.fallbacks = wave_fallbacks_;
             fault_sink_->fold_fault_stats(delta);
         }
+        release_wave(wave);
     }
 
     // --- the virtual-time event loop -------------------------------
@@ -882,7 +980,7 @@ class Engine
             }
             double t_next = kInfinity;
             if (!inflight_.empty())
-                t_next = inflight_.front().completion_us;
+                t_next = inflight_.front()->completion_us;
             // Only *future* retry wakeups are events; an entry already
             // ready (ready_us <= vnow_) is the dispatch gate's job and
             // must not pin t_next to a past stamp.
@@ -895,7 +993,7 @@ class Engine
                 break;
             vnow_ = std::max(vnow_, t_next);
             while (!inflight_.empty() &&
-                   inflight_.front().completion_us <= vnow_)
+                   inflight_.front()->completion_us <= vnow_)
                 complete_wave();
         }
     }
@@ -970,15 +1068,15 @@ class Engine
     mpapca::Ledger* fault_sink_;
     support::Clock& clock_;
     support::OpCache* opcache_; ///< per-server; nullptr = disabled
-    exec::SubmitQueue queue_;
     std::uint64_t cap_bits_;
     bool host_device_;            ///< device_.kind() == Host
     std::size_t karatsuba_limbs_; ///< cache admission floor on a host
 
-    /** Stable request storage: entries hold pointers into this deque
-     * for the whole session (submit_async callers keep nothing). */
-    std::deque<Request> requests_;
-    std::vector<std::shared_ptr<HandleState>> handles_;
+    /** Live-request storage: entries point into this deque (stable
+     * addresses), and settled slots wait in free_slots_ for reuse, so
+     * it holds the session's peak of live requests, not its total. */
+    std::deque<RequestSlot> slots_;
+    std::vector<RequestSlot*> free_slots_;
     ServeReport report_;
 
     std::vector<TenantState> tenants_;
@@ -987,7 +1085,11 @@ class Engine
     /** dispatch()'s selection; engine-owned so its capacity recycles
      * wave over wave. */
     std::vector<std::size_t> picked_;
-    std::deque<WaveInFlight> inflight_;
+    /** The wave pool (stable addresses: a worker holds its Wave) and
+     * the waves in flight, in completion order. */
+    std::vector<std::unique_ptr<Wave>> waves_;
+    std::vector<Wave*> free_waves_;
+    std::vector<Wave*> inflight_;
     double queued_cost_us_ = 0.0;
     double device_free_us_ = 0.0; ///< in-order pipeline tail
     double vnow_ = 0.0;

@@ -12,8 +12,10 @@
  * time — a single-threaded event ledger advanced by request arrival
  * stamps and by the device's own cost estimates — never by wall-clock
  * or thread timing. Products are still genuinely computed by the
- * device (through a coalescing exec::SubmitQueue, so the typed-error
- * futures are consumed for real), and the exec plane's bit-identity and
+ * device: the engine copies each wave's cache misses into a pooled
+ * exec::WaveBuffer it owns and runs it through
+ * Device::mul_batch_wave, and a device throw reaches every product of
+ * the wave as its typed ErrorCode. The exec plane's bit-identity and
  * position-seeded fault-stream contracts make the full outcome — the
  * shed set included — identical at any CAMP_THREADS or CAMP_SHARDS.
  *
@@ -23,8 +25,8 @@
  *    support::VirtualClock is the ledger itself. This is the oracle.
  *  - Wall (ServeConfig::wall_clock): a wave the engine would join
  *    before returning runs inline; only a wave that outlives the pump
- *    gets a worker thread, through the SubmitQueue wave ring, up to
- *    max_inflight_waves overlapping; a support::WallClock stamps every
+ *    gets its own worker thread, up to max_inflight_waves waves in
+ *    flight; a support::WallClock stamps every
  *    settlement so the report carries the per-request wall-vs-virtual
  *    skew. Decisions still run on the virtual ledger, so a wall run
  *    settles exactly the set the virtual oracle computes — the
@@ -37,6 +39,13 @@
  * everything that virtually completed before it. The engine only runs
  * inside submit_async/finish/process calls; Handle::wait from another
  * thread blocks until one of them settles the request.
+ *
+ * What a session retains: the engine holds one copy of each live
+ * request (admitted, not yet settled) and recycles it at settlement,
+ * so operand storage is bounded by the live requests, which the
+ * serve.live_requests gauge counts. Each settled outcome, product
+ * included, is stored once, in the report's outcomes; a handle the
+ * client still holds at settlement gets its own copy.
  */
 #ifndef CAMP_SERVE_SERVER_HPP
 #define CAMP_SERVE_SERVER_HPP
@@ -162,9 +171,11 @@ class Server
   public:
     /**
      * Completion handle for one submit_async request. Cheap to copy
-     * (shared state); the outcome — product included — is retained by
-     * the handle independently of the report, so it stays valid after
-     * finish().
+     * (shared state). A handle the client holds when its request
+     * settles gets its own copy of the outcome, product included, so
+     * outcome() stays valid after finish() and after the Server is
+     * destroyed. A handle dropped before then costs no copy: its
+     * callback still fires, with the report's outcome.
      */
     class Handle
     {

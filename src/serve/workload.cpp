@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "support/env.hpp"
@@ -159,12 +158,7 @@ generate_workload(const WorkloadSpec& spec)
 WorkloadSpec
 workload_spec_from_env(WorkloadSpec defaults)
 {
-    if (const char* env = std::getenv("CAMP_FUZZ_SEED")) {
-        char* end = nullptr;
-        const std::uint64_t seed = std::strtoull(env, &end, 0);
-        if (end != env && *end == '\0')
-            defaults.seed = seed;
-    }
+    defaults.seed = support::env_seed("CAMP_FUZZ_SEED", defaults.seed);
     defaults.requests =
         static_cast<std::size_t>(support::env_positive_u64(
             "CAMP_SERVE_REQUESTS", defaults.requests));

@@ -100,8 +100,10 @@ std::vector<TenantSpec> default_tenants();
 std::vector<Request> generate_workload(const WorkloadSpec& spec);
 
 /**
- * @p defaults with the environment applied: CAMP_FUZZ_SEED overrides
- * the seed, CAMP_SERVE_REQUESTS the request count.
+ * @p defaults with the environment applied: CAMP_FUZZ_SEED (decimal
+ * or 0x hex, support::env_seed) overrides the seed,
+ * CAMP_SERVE_REQUESTS the request count. A junk value of either
+ * throws camp::InvalidArgument naming the variable.
  */
 WorkloadSpec workload_spec_from_env(WorkloadSpec defaults = {});
 

@@ -1,5 +1,6 @@
 #include "support/env.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdint>
@@ -73,6 +74,26 @@ env_flag(const char* name, bool fallback)
     if (value == "0" || value == "false" || value == "off")
         return false;
     bad_value(name, env, "a boolean (0/1, false/true, off/on)");
+}
+
+std::uint64_t
+env_seed(const char* name, std::uint64_t fallback)
+{
+    const char* env = std::getenv(name);
+    if (env == nullptr)
+        return fallback;
+    const bool hex = env[0] == '0' && (env[1] == 'x' || env[1] == 'X');
+    const char* digits = hex ? env + 2 : env;
+    const auto first = static_cast<unsigned char>(digits[0]);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long seed =
+        std::strtoull(digits, &end, hex ? 16 : 10);
+    // strtoull skips blanks and accepts a sign: demand a digit first.
+    if (!(hex ? std::isxdigit(first) : std::isdigit(first)) ||
+        *end != '\0' || errno == ERANGE)
+        bad_value(name, env, "a decimal or 0x-hex 64-bit seed");
+    return seed;
 }
 
 } // namespace camp::support

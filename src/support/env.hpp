@@ -32,6 +32,12 @@ std::uint64_t env_nonnegative_u64(const char* name,
  * camp::InvalidArgument on anything else, empty included. */
 bool env_flag(const char* name, bool fallback);
 
+/** A 64-bit seed (CAMP_FUZZ_SEED): decimal or 0x-prefixed hex over the
+ * full 64-bit range; @p fallback when unset. An empty value, junk, a
+ * sign, trailing characters or overflow throw camp::InvalidArgument
+ * naming @p name, so a typo fails instead of running another seed. */
+std::uint64_t env_seed(const char* name, std::uint64_t fallback);
+
 } // namespace camp::support
 
 #endif // CAMP_SUPPORT_ENV_HPP

@@ -79,8 +79,8 @@ struct OpKey
     }
 };
 
-/** FNV-1a over 64-bit words (same family as the scheduler's
- * sticky-session operand digest). */
+/** FNV-1a over 64-bit words: the key digest that routes a lookup to
+ * its bucket. */
 std::uint64_t fnv1a_words(const std::uint64_t* words, std::size_t n,
                           std::uint64_t seed = 1469598103934665603ULL);
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Wall-clock async serving acceptance suite (DESIGN.md §15): the Clock
- * abstraction, the submit_async/Handle client edge, the SubmitQueue
- * wave ring, sticky-session shard affinity, hardened CAMP_SERVE_* env
- * parsing, and above all the virtual-as-oracle differential property —
+ * abstraction, the submit_async/Handle client edge, the engine's
+ * ownership of live requests and of the waves it runs, hardened
+ * CAMP_SERVE_* env parsing, and above all the virtual-as-oracle
+ * differential property —
  * a wall-clock run with overlapping in-flight waves settles exactly
  * the admitted/shed/timeout outcome set the deterministic virtual
  * engine computes for the same workload and config, with bit-identical
@@ -12,16 +13,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "exec/cpu_device.hpp"
-#include "exec/queue.hpp"
 #include "exec/scheduler.hpp"
 #include "exec/sim_device.hpp"
 #include "exec/wave.hpp"
@@ -173,75 +175,6 @@ TEST(Clock, WallClockIgnoresSteeringAndMovesForward)
 }
 
 // ---------------------------------------------------------------------
-// SubmitQueue wave ring
-// ---------------------------------------------------------------------
-
-TEST(SubmitQueueRing, OverlappingFlushesResolveOutOfOrder)
-{
-    exec::SimDevice device;
-    exec::SubmitQueue queue(device, /*max_pending=*/0,
-                            /*parallelism=*/1, /*inflight_waves=*/2);
-    EXPECT_EQ(queue.inflight_waves(), 2u);
-
-    camp::Rng rng(fuzz_seed(0x41a9));
-    std::vector<std::pair<Natural, Natural>> pairs;
-    std::vector<exec::SubmitQueue::Future> futures;
-    for (int i = 0; i < 12; ++i) {
-        pairs.emplace_back(Natural::random_bits(rng, 256),
-                           Natural::random_bits(rng, 256));
-        futures.push_back(
-            queue.submit(pairs.back().first, pairs.back().second));
-    }
-    exec::SubmitQueue::Ticket first = queue.begin_flush();
-    ASSERT_TRUE(first.valid());
-    EXPECT_EQ(queue.inflight_flushes(), 1u);
-    // Everything was already claimed by `first`; submit more for the
-    // second wave.
-    std::vector<std::pair<Natural, Natural>> more;
-    for (int i = 0; i < 5; ++i) {
-        more.emplace_back(Natural::random_bits(rng, 128),
-                          Natural::random_bits(rng, 128));
-        futures.push_back(
-            queue.submit(more.back().first, more.back().second));
-    }
-    exec::SubmitQueue::Ticket second = queue.begin_flush();
-    ASSERT_TRUE(second.valid());
-    EXPECT_EQ(queue.inflight_flushes(), 2u);
-    EXPECT_GE(queue.stats().overlapped, 1u)
-        << "the second begin overlapped the first";
-
-    // Publish out of order: the ring does not require FIFO completion.
-    EXPECT_EQ(queue.run_flush(std::move(second)), more.size());
-    EXPECT_EQ(queue.run_flush(std::move(first)), pairs.size());
-    EXPECT_EQ(queue.inflight_flushes(), 0u);
-
-    pairs.insert(pairs.end(), more.begin(), more.end());
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-        EXPECT_EQ(futures[i].get(), pairs[i].first * pairs[i].second)
-            << "product " << i;
-    EXPECT_EQ(queue.stats().flushes, 2u);
-}
-
-TEST(SubmitQueueRing, ClassicFlushStillDrainsEverything)
-{
-    exec::SimDevice device;
-    exec::SubmitQueue queue(device, 0, 1, /*inflight_waves=*/3);
-    camp::Rng rng(fuzz_seed(0x9921));
-    std::vector<std::pair<Natural, Natural>> pairs;
-    std::vector<exec::SubmitQueue::Future> futures;
-    for (int i = 0; i < 9; ++i) {
-        pairs.emplace_back(Natural::random_bits(rng, 200),
-                           Natural::random_bits(rng, 200));
-        futures.push_back(
-            queue.submit(pairs.back().first, pairs.back().second));
-    }
-    EXPECT_EQ(queue.flush(), 9u);
-    queue.wait_all();
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-        EXPECT_EQ(futures[i].get(), pairs[i].first * pairs[i].second);
-}
-
-// ---------------------------------------------------------------------
 // The virtual-as-oracle differential property
 // ---------------------------------------------------------------------
 
@@ -369,6 +302,47 @@ TEST(ServeDifferential, LedgerFoldIsExactInWallMode)
     EXPECT_EQ(folded.detected, report.totals.faulty_results);
     EXPECT_EQ(folded.retried, report.totals.retries);
     EXPECT_EQ(folded.fallbacks, report.totals.fallbacks);
+}
+
+TEST(ServeDifferential, HeldHandlesReadTheVirtualOracleProducts)
+{
+    // The matrix's sim x4 input, but the wall run goes through
+    // submit_async with every handle held: each handle's own outcome
+    // copy, product included, must equal the virtual oracle's report.
+    const std::uint64_t seed = fuzz_seed(kMatrixSeed);
+    SCOPED_TRACE("CAMP_FUZZ_SEED=" + std::to_string(seed));
+    const std::vector<serve::Request> workload =
+        differential_workload(seed);
+    exec::ShardPolicy shard_policy;
+    shard_policy.shards = 4;
+    shard_policy.drain_fault_threshold = 0;
+
+    exec::ShardedScheduler oracle_device(sim::default_config(),
+                                         shard_policy);
+    const serve::ServeReport oracle =
+        serve::Server(differential_config(4, false), oracle_device)
+            .process(workload);
+
+    exec::ShardedScheduler wall_device(sim::default_config(),
+                                       shard_policy);
+    serve::Server wall_server(differential_config(4, true), wall_device);
+    std::vector<serve::Server::Handle> handles;
+    handles.reserve(workload.size());
+    for (const serve::Request& request : workload)
+        handles.push_back(wall_server.submit_async(request));
+    const serve::ServeReport wall = wall_server.finish();
+
+    expect_differential_match(oracle, wall, workload);
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        const serve::Outcome& held = handles[i].outcome();
+        const serve::Outcome& want = oracle.outcomes[i];
+        EXPECT_EQ(held.id, want.id) << "request " << i;
+        EXPECT_EQ(held.status, want.status) << "request " << i;
+        EXPECT_EQ(held.error, want.error) << "request " << i;
+        EXPECT_EQ(held.attempts, want.attempts) << "request " << i;
+        EXPECT_EQ(held.latency_us, want.latency_us) << "request " << i;
+        EXPECT_EQ(held.product, want.product) << "request " << i;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -537,56 +511,285 @@ TEST(ServeAsync, SessionDisciplineIsEnforced)
     EXPECT_THROW(server.finish(), camp::InvalidArgument);
 }
 
-// ---------------------------------------------------------------------
-// Sticky sessions
-// ---------------------------------------------------------------------
-
-TEST(StickySessions, RepeatedOperandsPinWithoutChangingOutcomes)
+TEST(ServeAsync, LiveRequestsStayBoundedWithHandlesDropped)
 {
+    // camp_bench's serve-small shape at 100k requests (wall mode, four
+    // waves in flight, a CpuDevice, every handle dropped at once and
+    // only its callback kept), but with default tenant limits. The
+    // engine keeps a request only while it is live, so the gauge is
+    // bounded by what admission and the wave pipeline can hold.
+    const std::uint64_t seed = fuzz_seed(0x11fe5);
+    SCOPED_TRACE("CAMP_FUZZ_SEED=" + std::to_string(seed));
     serve::WorkloadSpec spec;
-    spec.seed = fuzz_seed(0x571c4);
-    spec.requests = 200;
-    spec.max_bits = 1024;
-    spec.repeat_fraction = 0.5; // heavy repeated-operand traffic
+    spec.seed = seed;
+    spec.requests = 100000;
+    spec.min_bits = 64;
+    spec.max_bits = 4096;
+    spec.square_fraction = 0.2;
+    spec.repeat_fraction = 0.3;
     spec.deadline_fraction = 0.0;
     const std::vector<serve::Request> workload =
         serve::generate_workload(spec);
 
-    exec::ShardPolicy plain_policy;
-    plain_policy.shards = 4;
-    plain_policy.drain_fault_threshold = 0;
-    exec::ShardPolicy sticky_policy = plain_policy;
-    sticky_policy.sticky_sessions = true;
+    serve::ServeConfig config;
+    config.wall_clock = true;
+    config.max_inflight_waves = 4;
+    config.max_backlog_us = 1e12;
+    const std::int64_t bound = static_cast<std::int64_t>(
+        serve::default_tenants().size() * config.limits.max_queue_depth +
+        config.max_inflight_waves * config.wave_size);
 
-    exec::ShardedScheduler plain(sim::default_config(), plain_policy);
-    exec::ShardedScheduler sticky(sim::default_config(),
-                                  sticky_policy);
+    support::metrics::Gauge& live =
+        support::metrics::gauge("serve.live_requests");
+    ASSERT_EQ(live.value(), 0);
+    std::int64_t peak = 0;
+    std::size_t over_bound = 0;
+    const auto observe = [&] {
+        const std::int64_t now = live.value();
+        peak = std::max(peak, now);
+        if (now > bound)
+            ++over_bound;
+    };
+    std::vector<unsigned> fired(workload.size(), 0);
+    exec::CpuDevice device;
+    serve::Server server(config, device);
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        server.submit_async(workload[i])
+            .on_settle([&fired, &observe, i](const serve::Outcome&) {
+                ++fired[i];
+                observe();
+            });
+        observe();
+    }
+    const serve::ServeReport report = server.finish();
+    EXPECT_EQ(live.value(), 0) << "every request settled";
+    EXPECT_EQ(over_bound, 0u) << "peak " << peak << ", bound " << bound;
+    EXPECT_GT(peak, 0);
 
-    // The affinity table only sees operands that reach the device;
-    // disable the serve-layer product cache so the repeat traffic this
-    // test is about actually hits the scheduler (with the cache on,
-    // repeats are served upstream — tests/test_opcache.cpp covers
-    // that path).
-    serve::ServeConfig config = differential_config(1, false);
-    config.use_opcache = false;
-    const serve::ServeReport plain_report =
-        serve::Server(config, plain).process(workload);
-    const serve::ServeReport sticky_report =
-        serve::Server(config, sticky).process(workload);
+    EXPECT_TRUE(report.conserved()) << report.table();
+    ASSERT_EQ(report.outcomes.size(), workload.size());
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        ASSERT_EQ(fired[i], 1u) << "exactly-once callback " << i;
+        const serve::Outcome& outcome = report.outcomes[i];
+        if (outcome.status == serve::RequestStatus::Completed)
+            ASSERT_EQ(outcome.product, workload[i].a * workload[i].b)
+                << "request " << i;
+    }
+}
 
-    // Placement is invisible in the outcome (the resharding
-    // determinism contract) ...
-    EXPECT_EQ(statuses_of(plain_report), statuses_of(sticky_report));
-    EXPECT_EQ(plain_report.shed_ids, sticky_report.shed_ids);
-    for (std::size_t i = 0; i < workload.size(); ++i)
-        if (sticky_report.outcomes[i].status ==
-            serve::RequestStatus::Completed)
-            EXPECT_EQ(sticky_report.outcomes[i].product,
-                      workload[i].a * workload[i].b);
-    // ... but the affinity table genuinely pinned repeats.
-    EXPECT_GT(sticky.stats().affinity_hits, 0u);
-    EXPECT_GT(sticky.stats().affinity_misses, 0u);
-    EXPECT_EQ(plain.stats().affinity_hits, 0u);
+TEST(ServeAsync, HeldHandleOutlivesServer)
+{
+    const std::uint64_t seed = fuzz_seed(0x0d1e5);
+    SCOPED_TRACE("CAMP_FUZZ_SEED=" + std::to_string(seed));
+    std::vector<serve::Request> workload = differential_workload(seed);
+    // One more request, refused by admission inside submit_async: its
+    // deadline is its arrival, which no product can meet.
+    serve::Request refused = workload.back();
+    refused.id = workload.size();
+    refused.deadline_us = refused.arrival_us;
+    workload.push_back(refused);
+
+    std::vector<serve::Server::Handle> handles;
+    handles.reserve(workload.size());
+    serve::ServeReport report;
+    {
+        exec::SimDevice device;
+        auto server = std::make_unique<serve::Server>(
+            differential_config(4, true), device);
+        for (const serve::Request& request : workload)
+            handles.push_back(server->submit_async(request));
+        ASSERT_TRUE(handles.back().settled())
+            << "admission settled it inside submit_async";
+        report = server->finish();
+        server.reset();
+    }
+    // Server and device are gone; each held handle reads its own copy.
+    EXPECT_TRUE(report.conserved()) << report.table();
+    ASSERT_EQ(report.outcomes.size(), workload.size());
+    std::size_t completed = 0;
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        ASSERT_TRUE(handles[i].settled()) << i;
+        const serve::Outcome& outcome = handles[i].outcome();
+        EXPECT_EQ(outcome.id, workload[i].id) << i;
+        EXPECT_EQ(outcome.status, report.outcomes[i].status) << i;
+        EXPECT_EQ(outcome.attempts, report.outcomes[i].attempts) << i;
+        if (outcome.status == serve::RequestStatus::Completed) {
+            ++completed;
+            EXPECT_EQ(outcome.product, workload[i].a * workload[i].b)
+                << "request " << i;
+        }
+    }
+    EXPECT_GT(completed, 0u);
+    const serve::Outcome& last = handles.back().outcome();
+    EXPECT_EQ(last.status, serve::RequestStatus::RejectedDeadline);
+    EXPECT_EQ(last.error, camp::ErrorCode::DeadlineExceeded);
+}
+
+namespace {
+
+/** Device whose first @p sick waves throw HardwareFault and whose
+ * waves holding @p marker as an operand throw InvalidArgument; exact
+ * otherwise. It records the operand pairs each InvalidArgument covered
+ * and counts throws raised off the thread that built it. Wall-mode
+ * workers call it concurrently, so its state sits under a mutex. */
+class ThrowingDevice : public exec::Device
+{
+  public:
+    ThrowingDevice(unsigned sick, Natural marker)
+        : sick_(sick), marker_(std::move(marker)),
+          owner_(std::this_thread::get_id())
+    {
+    }
+
+    const char* name() const override { return "throwing"; }
+    exec::DeviceKind kind() const override
+    {
+        return exec::DeviceKind::Accelerator;
+    }
+    std::uint64_t base_cap_bits() const override { return 0; }
+
+    exec::MulOutcome mul(const Natural& a, const Natural& b) override
+    {
+        return exec::MulOutcome{a * b, 0};
+    }
+
+    sim::BatchResult
+    mul_batch_wave(exec::WaveBuffer& wave,
+                   const std::vector<std::size_t>& items,
+                   const std::vector<std::uint64_t>&, unsigned) override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            const bool off_thread =
+                std::this_thread::get_id() != owner_;
+            bool marked = false;
+            for (const std::size_t item : items)
+                marked = marked || wave.operand_a(item).to_natural() ==
+                                       marker_;
+            if (marked) {
+                for (const std::size_t item : items)
+                    invalid_pairs_.push_back(wave.operand_pair(item));
+                invalid_off_thread_ += off_thread;
+                throw camp::InvalidArgument("marked operand");
+            }
+            if (sick_ > 0) {
+                --sick_;
+                hardware_off_thread_ += off_thread;
+                throw camp::HardwareFault("sick wave");
+            }
+        }
+        sim::BatchResult result;
+        for (const std::size_t item : items) {
+            const auto [a, b] = wave.operand_pair(item);
+            wave.set_result(item, a * b);
+        }
+        result.per_product.resize(items.size());
+        return result;
+    }
+
+    /** 4 modelled microseconds per product: arrivals 2 us apart keep
+     * the pipeline full, so waves outlive their pump. */
+    exec::CostEstimate cost(std::uint64_t, std::uint64_t) const override
+    {
+        return exec::CostEstimate{0.0, 4e-6, 0.0};
+    }
+
+    bool
+    in_invalid_wave(const Natural& a, const Natural& b) const
+    {
+        for (const auto& pair : invalid_pairs_)
+            if (pair.first == a && pair.second == b)
+                return true;
+        return false;
+    }
+
+    unsigned hardware_off_thread() const { return hardware_off_thread_; }
+    unsigned invalid_off_thread() const { return invalid_off_thread_; }
+
+  private:
+    std::mutex mutex_;
+    unsigned sick_;
+    Natural marker_;
+    std::thread::id owner_;
+    std::vector<std::pair<Natural, Natural>> invalid_pairs_;
+    unsigned hardware_off_thread_ = 0;
+    unsigned invalid_off_thread_ = 0;
+};
+
+} // namespace
+
+TEST(ServeAsync, AsyncWaveThrowIsTypedPerProduct)
+{
+    const std::uint64_t seed = fuzz_seed(0x7470e);
+    SCOPED_TRACE("CAMP_FUZZ_SEED=" + std::to_string(seed));
+    serve::WorkloadSpec spec;
+    spec.seed = seed;
+    spec.requests = 240;
+    spec.mean_interarrival_us = 2.0;
+    spec.max_bits = 1024;
+    spec.repeat_fraction = 0.0;
+    spec.deadline_fraction = 0.0;
+    std::vector<serve::Request> workload = serve::generate_workload(spec);
+    const Natural marker(0xbad);
+    for (std::size_t i = 0; i < workload.size(); i += 20)
+        workload[i].a = marker;
+
+    serve::ServeConfig config;
+    config.wall_clock = true;
+    config.max_inflight_waves = 4;
+    config.wave_size = 8;
+    config.limits.max_queue_depth = workload.size();
+    config.max_backlog_us = 1e9;
+
+    support::metrics::Counter& async_waves =
+        support::metrics::counter("serve.waves.async");
+    const std::uint64_t async_before = async_waves.value();
+    ThrowingDevice device(/*sick=*/6, marker);
+    camp::mpapca::CostModel model{};
+    camp::mpapca::Ledger ledger(model);
+    serve::ServeReport report;
+    {
+        serve::Server server(config, device, &ledger);
+        for (const serve::Request& request : workload)
+            server.submit_async(request);
+        report = server.finish();
+    }
+    EXPECT_GT(async_waves.value() - async_before, 0u);
+    EXPECT_GT(device.hardware_off_thread(), 0u)
+        << "a HardwareFault crossed a worker thread";
+    EXPECT_GT(device.invalid_off_thread(), 0u)
+        << "an InvalidArgument crossed a worker thread";
+    EXPECT_TRUE(report.conserved()) << report.table();
+    EXPECT_GT(report.totals.retries + report.totals.fallbacks, 0u)
+        << "the HardwareFault waves were retried or fell back";
+
+    std::uint64_t attempts = 0;
+    for (std::size_t i = 0; i < workload.size(); ++i) {
+        const serve::Outcome& outcome = report.outcomes[i];
+        attempts += outcome.attempts;
+        const bool invalid =
+            device.in_invalid_wave(workload[i].a, workload[i].b);
+        if (workload[i].a == marker)
+            EXPECT_TRUE(invalid) << "request " << i;
+        if (invalid) {
+            // Every product of an InvalidArgument wave carries it.
+            EXPECT_EQ(outcome.status, serve::RequestStatus::Failed)
+                << "request " << i;
+            EXPECT_EQ(outcome.error, camp::ErrorCode::InvalidArgument)
+                << "request " << i;
+        } else {
+            EXPECT_EQ(outcome.status, serve::RequestStatus::Completed)
+                << "request " << i;
+            EXPECT_EQ(outcome.product, workload[i].a * workload[i].b)
+                << "request " << i;
+        }
+    }
+    const camp::mpapca::FaultStats folded =
+        ledger.fault_stats_snapshot();
+    EXPECT_EQ(folded.checks, attempts);
+    EXPECT_EQ(folded.detected, report.totals.faulty_results);
+    EXPECT_EQ(folded.retried, report.totals.retries);
+    EXPECT_EQ(folded.fallbacks, report.totals.fallbacks);
 }
 
 // ---------------------------------------------------------------------
@@ -762,4 +965,33 @@ TEST(ServeEnv, WorkloadRequestCountIsHardenedToo)
     ::setenv("CAMP_SERVE_REQUESTS", "17", 1);
     EXPECT_EQ(serve::workload_spec_from_env().requests, 17u);
     ::unsetenv("CAMP_SERVE_REQUESTS");
+}
+
+TEST(ServeEnv, WorkloadSeedIsHardenedToo)
+{
+    // Save/restore so a CI-level CAMP_FUZZ_SEED replay is unaffected.
+    const char* saved = std::getenv("CAMP_FUZZ_SEED");
+    const std::string saved_value = saved != nullptr ? saved : "";
+    for (const char* bad : {"junk", "", "12k", "-1", "0x",
+                            "18446744073709551616"}) {
+        ::setenv("CAMP_FUZZ_SEED", bad, 1);
+        try {
+            serve::workload_spec_from_env();
+            ADD_FAILURE() << "CAMP_FUZZ_SEED='" << bad
+                          << "' must throw";
+        } catch (const camp::InvalidArgument& e) {
+            EXPECT_NE(std::string(e.what()).find("CAMP_FUZZ_SEED"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    ::setenv("CAMP_FUZZ_SEED", "012", 1);
+    EXPECT_EQ(serve::workload_spec_from_env().seed, 12u)
+        << "decimal, not octal";
+    ::setenv("CAMP_FUZZ_SEED", "0x1f", 1);
+    EXPECT_EQ(serve::workload_spec_from_env().seed, 31u);
+    if (saved != nullptr)
+        ::setenv("CAMP_FUZZ_SEED", saved_value.c_str(), 1);
+    else
+        ::unsetenv("CAMP_FUZZ_SEED");
 }
