@@ -38,7 +38,6 @@
 #include "mpn/mul.hpp"
 #include "mpn/view.hpp"
 #include "mpn/kernels/kernels.hpp"
-#include "mpn/kernels/soa.hpp"
 #include "mpn/natural.hpp"
 #include "mpz/integer.hpp"
 #include "sim/batch.hpp"
@@ -269,63 +268,18 @@ main()
             {best_simd_speedup, add_speedup, sub_speedup, bc_speedup});
     }
 
-    section("SoA batch multiply (digit-sliced vertical basecase)");
-    {
-        // N independent same-shape products, transposed into
-        // digit-major SoA form and multiplied by one vertical kernel
-        // across lanes, vs the same products one at a time through the
-        // scalar mpn path. On tiers without an SoA kernel the driver
-        // falls back per-product and the speedup is honestly ~1.0.
-        const std::uint64_t bits = 4096;
-        const std::size_t batch = 64;
-        std::vector<std::pair<Natural, Natural>> pairs;
-        pairs.reserve(batch);
-        for (std::size_t i = 0; i < batch; ++i)
-            pairs.emplace_back(Natural::random_bits(rng, bits),
-                               Natural::random_bits(rng, bits));
-        std::vector<Natural> soa_out(batch), ref_out(batch);
-        TimingOptions kopts = opts;
-        kopts.min_seconds = 0.05;
-
-        const bool had_simd = tier != kernels::Tier::Scalar;
-        kernels::set_active_tier(kernels::Tier::Scalar);
-        const double ref_s = time_call(
-            [&] {
-                for (std::size_t i = 0; i < batch; ++i)
-                    ref_out[i] = pairs[i].first * pairs[i].second;
-            },
-            kopts);
-        if (had_simd)
-            kernels::set_active_tier(tier);
-        const double soa_s = time_call(
-            [&] {
-                kernels::soa_mul_batch(pairs.data(), batch,
-                                       soa_out.data());
-            },
-            kopts);
-        for (std::size_t i = 0; i < batch; ++i)
-            CAMP_ASSERT(soa_out[i] == ref_out[i]);
-        const double soa_speedup = ref_s / soa_s;
-        const double bytes =
-            static_cast<double>(batch) * 2.0 * (bits / 8.0);
-        json.add("batch_mul_soa", bits, 1, soa_s / batch, bytes / batch,
-                 {{"speedup", soa_speedup}});
-        best_simd_speedup = std::max(best_simd_speedup, soa_speedup);
-    }
-
     section("memory plane: copying batch vs pooled zero-copy wave");
     {
         // One 256-product 2048-bit wave, both ways, at parallelism 1;
         // each timer covers only the batch multiply itself. The copying
-        // side is the Natural-returning SoA driver over pairs built
-        // outside the timer: one fresh product buffer per product
-        // (mpn.alloc.count += ~256). The wave side is
-        // CpuDevice::mul_batch_wave on a wave filled outside the timer
-        // (each run rewrites the same slots): products land in
-        // arena-backed slots carved at add() time, so it allocates
-        // none. The alloc_per_wave row is the gated record of that
-        // traffic drop: >= 10x fewer counted allocations per wave, with
-        // products bit-identical.
+        // side is operator* over pairs built outside the timer: one
+        // fresh product buffer per product (mpn.alloc.count += 256).
+        // The wave side is CpuDevice::mul_batch_wave on a wave filled
+        // outside the timer (each run rewrites the same slots):
+        // products land in arena-backed slots carved at add() time, so
+        // it allocates none. The alloc_per_wave row is the gated record
+        // of that traffic drop: >= 10x fewer counted allocations per
+        // wave, with products bit-identical.
         const std::uint64_t bits = 2048;
         const std::size_t batch = 256;
         std::vector<std::pair<Natural, Natural>> pairs;
@@ -348,8 +302,8 @@ main()
         const double copy_s = time_call(
             [&] {
                 const std::uint64_t before = allocs.value();
-                kernels::soa_mul_batch(pairs.data(), batch,
-                                       copy_out.data());
+                for (std::size_t i = 0; i < batch; ++i)
+                    copy_out[i] = pairs[i].first * pairs[i].second;
                 copy_allocs = allocs.value() - before;
             },
             opts);

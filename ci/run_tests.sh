@@ -12,7 +12,10 @@
 #     the only two) run the full suite and results stay bit-identical
 #     across them, and at
 #     CAMP_OPCACHE=0 and =1 so the operand-digest inverse cache's
-#     hit path provably never changes a result;
+#     hit path provably never changes a result; then a junk-knob smoke
+#     (examples/pi_digits, which builds the global pool and a SimConfig
+#     at startup, run with CAMP_THREADS=4x and with
+#     CAMP_FAULT_RATE=1e-4x must exit nonzero and name the variable);
 #  2. perf-regression gate: perf_smoke and batch_throughput vs
 #     bench/baselines at a generous machine-portability tolerance, a
 #     CAMP_TRACE export smoke-checked through tools/trace_report, and a
@@ -46,10 +49,10 @@
 #     (skip with CAMP_CI_SKIP_SANITIZE=1);
 #  4. ThreadSanitizer build (CAMP_SANITIZE=thread) over the
 #     concurrency-bearing tests — pool, mpn mul, batch, runtime,
-#     exec devices (the wave fork rule: forked wave slices drawing
-#     their SoA item arrays from per-thread scratch frames), sharded
-#     scheduler, memory plane (per-thread arena magazines +
-#     concurrent wave slot writes), serving layer (concurrent ledger
+#     exec devices (the wave fork rule: forked wave slices writing
+#     disjoint wave slots), sharded scheduler, memory plane (arena
+#     blocks released on another thread + concurrent wave slot
+#     writes), serving layer (concurrent ledger
 #     folding), async wall-clock serving (engine-owned wave workers
 #     and their caught device throws, held and dropped handles,
 #     callbacks, the differential oracle), operand cache
@@ -116,6 +119,28 @@ if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
 else
     echo "==== ctest build (CAMP_SIMD=avx2) SKIPPED: host lacks AVX2 ===="
 fi
+
+# Junk-knob smoke: the unit tests call each knob's parse directly, so
+# this checks the call sites that parse once and cache (the global
+# pool's CAMP_THREADS, a SimConfig's fault rates). pi_digits builds
+# both at startup, and its self-checking runtime recovers from armed
+# faults, so it exits 0 on a well-formed rate; a malformed value must
+# stop it with a message on stderr that names the variable.
+for knob in CAMP_THREADS=4x CAMP_FAULT_RATE=1e-4x; do
+    name="${knob%%=*}"
+    echo "==== junk-knob smoke (${knob} ./build/examples/pi_digits) ===="
+    if env "${knob}" ./build/examples/pi_digits \
+        > /dev/null 2> build/junk_knob.err; then
+        echo "ERROR: ${knob} did not stop pi_digits"
+        exit 1
+    fi
+    if ! grep -q "${name}" build/junk_knob.err; then
+        echo "ERROR: pi_digits' stderr does not name ${name}:"
+        tail -5 build/junk_knob.err
+        exit 1
+    fi
+    echo "rejected as expected: $(grep -m1 "${name}" build/junk_knob.err)"
+done
 
 if [[ "${CAMP_CI_SKIP_PERF:-0}" != "1" ]]; then
     # Perf-regression gate. The tolerance is deliberately loose (4x):
@@ -242,9 +267,9 @@ if [[ "${CAMP_CI_SKIP_SANITIZE:-0}" != "1" ]]; then
     # (support::asan_poison), so any use of a view past its
     # WaveBuffer's reset()/release() is a hard ASan failure here, not
     # silent reuse. detect_invalid_pointer_pairs additionally checks
-    # the intra-slab pointer arithmetic the carver does. test_serve and
-    # test_serve_async drive the breaker, whose quarantine path writes
-    # golden products straight into wave slots.
+    # the pointer arithmetic WaveBuffer does inside its arena blocks.
+    # test_serve and test_serve_async drive the breaker, whose
+    # quarantine path writes golden products straight into wave slots.
     echo "==== asan memory-plane leg (arena poisoning armed) ===="
     for t in test_memory_plane test_scheduler test_exec test_serve \
              test_serve_async; do

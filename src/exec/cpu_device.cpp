@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "exec/wave.hpp"
-#include "mpn/kernels/soa.hpp"
+#include "mpn/mul.hpp"
 #include "mpn/ophook.hpp"
 #include "sim/comparators.hpp"
 #include "support/assert.hpp"
@@ -54,28 +55,26 @@ CpuDevice::mul_batch_wave(WaveBuffer& wave,
             std::min(count, static_cast<std::size_t>(pool.executors()) * 4));
     const bool fork = chunks >= 2;
     result.parallelism = fork ? pool.executors() : 1;
-    // Contiguous slices (not one pool task per product), each feeding
-    // the raw SoA driver wave-owned operand views and result slots:
-    // steady state, a whole wave multiplies without one product-buffer
-    // allocation (this is what bench/perf_smoke's alloc_per_wave row
-    // gates on). The SoaItem array comes from the executing thread's
-    // scratch frame, never a thread_local buffer: TaskGroup::wait()
-    // helps, so a second slice can start on a thread whose first slice
-    // is suspended inside mpn::mul, and only LIFO frames nest safely.
+    // Contiguous slices (not one pool task per product), each
+    // multiplying wave-owned operand views straight into the wave's
+    // result slots: steady state, a whole wave multiplies without one
+    // product-buffer allocation (this is what bench/perf_smoke's
+    // alloc_per_wave row gates on).
     const auto slice = [&wave, &items](std::size_t lo, std::size_t hi) {
         mpn::OpHookSuspend suspend;
-        support::ScratchFrame frame;
-        mpn::kernels::SoaItem* raw =
-            frame.alloc_array<mpn::kernels::SoaItem>(hi - lo);
         for (std::size_t k = lo; k < hi; ++k) {
-            const mpn::LimbView a = wave.operand_a(items[k]);
-            const mpn::LimbView b = wave.operand_b(items[k]);
-            raw[k - lo] = {a.ptr, a.len, b.ptr, b.len,
-                           wave.result_ptr(items[k]), 0};
+            const std::size_t item = items[k];
+            mpn::LimbView a = wave.operand_a(item);
+            mpn::LimbView b = wave.operand_b(item);
+            if (a.is_zero() || b.is_zero()) {
+                wave.set_result_size(item, 0);
+                continue;
+            }
+            if (a.len < b.len)
+                std::swap(a, b);
+            mpn::mul(wave.result_ptr(item), a.ptr, a.len, b.ptr, b.len);
+            wave.set_result_size(item, a.len + b.len);
         }
-        mpn::kernels::soa_mul_batch_raw(raw, hi - lo);
-        for (std::size_t k = lo; k < hi; ++k)
-            wave.set_result_size(items[k], raw[k - lo].rn);
     };
     if (fork) {
         const std::size_t step = (count + chunks - 1) / chunks;

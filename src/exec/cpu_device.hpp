@@ -28,12 +28,12 @@ class CpuDevice : public Device
     MulOutcome mul(const mpn::Natural& a,
                    const mpn::Natural& b) override;
 
-    /** Zero-copy wave execution: the SoA batch driver runs directly
-     * over the wave's operand views and writes products straight into
-     * the wave's result slots (kernels::soa_mul_batch_raw) — no
-     * Natural materialization, no product-buffer allocation. Forks
-     * into fork_slices(wave, items, min(count, 4·executors)) slices
-     * when that is at least two; otherwise runs on the caller. */
+    /** Zero-copy wave execution: mpn::mul runs on each item's
+     * operand views and writes its product straight into the item's
+     * result slot — no Natural materialization, no product-buffer
+     * allocation. Forks into fork_slices(wave, items,
+     * min(count, 4·executors)) slices when that is at least two;
+     * otherwise runs on the caller. */
     sim::BatchResult
     mul_batch_wave(WaveBuffer& wave,
                    const std::vector<std::size_t>& items,

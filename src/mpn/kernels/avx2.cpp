@@ -9,16 +9,15 @@
  *    re-injected from a 16-entry vector table. This replaces the
  *    per-limb flag chain with one short scalar op per 4 limbs.
  *
- *  - mul_basecase / soa_vertical: the reduced-radix carry-save
- *    kernels. Operands are expanded to radix-2^32 digits; every
- *    32x32 partial product is accumulated into a *pair* of 64-bit
- *    per-column sums (low and high halves separately), so columns
- *    never carry during accumulation — each term is < 2^32, leaving
- *    32 bits of carry-save headroom per column. mul_basecase keeps
- *    the accumulators of 4 adjacent columns in registers (diagonal
- *    walk over the product trapezoid); soa_vertical keeps one column
- *    of 4 *independent products* per register (vertical batch form).
- *    One O(n) resolution pass converts columns back to 64-bit limbs.
+ *  - mul_basecase: the reduced-radix carry-save kernel. Operands are
+ *    expanded to radix-2^32 digits; every 32x32 partial product is
+ *    accumulated into a *pair* of 64-bit per-column sums (low and
+ *    high halves separately), so columns never carry during
+ *    accumulation — each term is < 2^32, leaving 32 bits of
+ *    carry-save headroom per column. The accumulators of 4 adjacent
+ *    columns live in registers (diagonal walk over the product
+ *    trapezoid); one O(n) resolution pass converts columns back to
+ *    64-bit limbs.
  *
  * Everything here is exact integer arithmetic: results are
  * bit-identical to the scalar tier by construction, and
@@ -237,95 +236,6 @@ avx2_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
     CAMP_ASSERT(carry == 0 && hi_prev == 0);
 }
 
-void
-avx2_soa_vertical(std::uint64_t* acc_lo, std::uint64_t* acc_hi,
-                  const std::uint64_t* da, std::size_t nda,
-                  const std::uint64_t* db, std::size_t ndb)
-{
-    // 4 independent products, one per lane; vectors are whole columns.
-    // Output column c sums da[c - j] * db[j] over in-range j. Columns
-    // are processed in pairs so each loaded db column feeds two
-    // multiply-accumulates (the load is the scarce resource here —
-    // SoA lanes can't broadcast, every operand differs per lane).
-    const __m256i m32 = _mm256_set1_epi64x(0xffffffffLL);
-    const std::size_t ncols = nda + ndb;
-    std::size_t c = 0;
-    for (; c + 2 <= ncols; c += 2) {
-        const std::size_t jmin0 = c + 1 > nda ? c + 1 - nda : 0;
-        const std::size_t jmax0 = std::min(ndb - 1, c);
-        const std::size_t jmin1 = c + 2 > nda ? c + 2 - nda : 0;
-        const std::size_t jmax1 = std::min(ndb - 1, c + 1);
-        __m256i lo0 = _mm256_setzero_si256();
-        __m256i hi0 = _mm256_setzero_si256();
-        __m256i lo1 = _mm256_setzero_si256();
-        __m256i hi1 = _mm256_setzero_si256();
-        if (jmin0 < jmin1 && jmin0 <= jmax0) {
-            // j = jmin0 reaches only column c.
-            const __m256i p = _mm256_mul_epu32(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                    da + 4 * (c - jmin0))),
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                    db + 4 * jmin0)));
-            lo0 = _mm256_add_epi64(lo0, _mm256_and_si256(p, m32));
-            hi0 = _mm256_add_epi64(hi0, _mm256_srli_epi64(p, 32));
-        }
-        for (std::size_t j = jmin1; j <= jmax0; ++j) {
-            const __m256i vdb = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(db + 4 * j));
-            const std::size_t i = c - j;
-            const __m256i p0 = _mm256_mul_epu32(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(da + 4 * i)),
-                vdb);
-            const __m256i p1 = _mm256_mul_epu32(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                    da + 4 * (i + 1))),
-                vdb);
-            lo0 = _mm256_add_epi64(lo0, _mm256_and_si256(p0, m32));
-            hi0 = _mm256_add_epi64(hi0, _mm256_srli_epi64(p0, 32));
-            lo1 = _mm256_add_epi64(lo1, _mm256_and_si256(p1, m32));
-            hi1 = _mm256_add_epi64(hi1, _mm256_srli_epi64(p1, 32));
-        }
-        if (jmax1 > jmax0 && jmin1 <= jmax1) {
-            // j = jmax1 reaches only column c + 1.
-            const __m256i p = _mm256_mul_epu32(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                    da + 4 * (c + 1 - jmax1))),
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                    db + 4 * jmax1)));
-            lo1 = _mm256_add_epi64(lo1, _mm256_and_si256(p, m32));
-            hi1 = _mm256_add_epi64(hi1, _mm256_srli_epi64(p, 32));
-        }
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc_lo + 4 * c), lo0);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc_hi + 4 * c), hi0);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc_lo + 4 * (c + 1)), lo1);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc_hi + 4 * (c + 1)), hi1);
-    }
-    for (; c < ncols; ++c) {
-        const std::size_t jmin = c + 1 > nda ? c + 1 - nda : 0;
-        const std::size_t jmax = std::min(ndb - 1, c);
-        __m256i vlo = _mm256_setzero_si256();
-        __m256i vhi = _mm256_setzero_si256();
-        for (std::size_t j = jmin; j <= jmax; ++j) {
-            const __m256i vda = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(da + 4 * (c - j)));
-            const __m256i vdb = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(db + 4 * j));
-            const __m256i p = _mm256_mul_epu32(vda, vdb);
-            vlo = _mm256_add_epi64(vlo, _mm256_and_si256(p, m32));
-            vhi = _mm256_add_epi64(vhi, _mm256_srli_epi64(p, 32));
-        }
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc_lo + 4 * c), vlo);
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(acc_hi + 4 * c), vhi);
-    }
-}
-
 const KernelTable*
 avx2_table()
 {
@@ -333,14 +243,12 @@ avx2_table()
         KernelTable t;
         t.tier = Tier::Avx2;
         t.name = "avx2";
-        // Measured on Skylake-class cores: add_n/sub_n ~2.5x and the
-        // SoA vertical kernel 1.2-1.5x; the column basecase only takes
-        // over above its internal ~48-limb crossover (scalar below).
+        // Measured on Skylake-class cores: add_n/sub_n ~2.5x; the
+        // column basecase only takes over above its internal ~48-limb
+        // crossover (scalar below).
         t.add_n = avx2_add_n;
         t.sub_n = avx2_sub_n;
         t.mul_basecase = avx2_mul_basecase;
-        t.soa_width = 4;
-        t.soa_vertical = avx2_soa_vertical;
         return t;
     }();
     return &table;

@@ -40,9 +40,6 @@ Limb avx2_sub_n(Limb* rp, const Limb* ap, const Limb* bp,
                 std::size_t n);
 void avx2_mul_basecase(Limb* rp, const Limb* ap, std::size_t an,
                        const Limb* bp, std::size_t bn);
-void avx2_soa_vertical(std::uint64_t* acc_lo, std::uint64_t* acc_hi,
-                       const std::uint64_t* da, std::size_t nda,
-                       const std::uint64_t* db, std::size_t ndb);
 #endif
 
 } // namespace camp::mpn::kernels

@@ -1,9 +1,9 @@
 /**
  * @file
- * Runtime-dispatched SIMD limb kernels (ROADMAP item 2): the inner
- * primitives of the mpn layer — add_n / sub_n, the schoolbook
- * basecase and the SoA batch kernel — behind a cpuid-probed dispatch
- * table with the scalar code as mandatory fallback.
+ * Runtime-dispatched SIMD limb kernels: the inner primitives of the
+ * mpn layer — add_n / sub_n and the schoolbook basecase — behind a
+ * cpuid-probed dispatch table with the scalar code as mandatory
+ * fallback.
  *
  * Tiers
  *  - scalar: the portable reference loops (always present, always the
@@ -21,7 +21,11 @@
  * the scalar loops directly. A tier that measures a win for one of
  * them re-adds its slot.
  *
- * Representation: the SIMD multiply kernels internally use a
+ * There is no batch (SIMD-across-products) kernel: serving waves hold
+ * about two mixed-shape products, and each multiplies through mpn::mul
+ * (DESIGN.md §13).
+ *
+ * Representation: the AVX2 column basecase internally uses a
  * reduced-radix carry-save form — the operands are expanded into
  * radix-2^32 digit columns and partial products are accumulated in
  * *pairs* of 64-bit per-column accumulators (low and high halves of
@@ -71,22 +75,6 @@ struct KernelTable
                   std::size_t) = nullptr;
     void (*mul_basecase)(Limb*, const Limb*, std::size_t, const Limb*,
                          std::size_t) = nullptr;
-
-    /**
-     * Vertical struct-of-arrays basecase across @p soa_width
-     * independent products (0 = tier has no SoA kernel). Digit-major
-     * layout: dig[k * soa_width + lane] holds lane `lane`'s radix-2^32
-     * digit k in the low half of a 64-bit word. accLo/accHi are the
-     * carry-save column accumulators, (nda + ndb) columns each,
-     * zero-initialized by the caller; column k of the exact product
-     * is accLo[k] + accHi[k - 1] plus the ripple carry (resolved by
-     * kernels::soa_mul_batch_raw).
-     */
-    std::size_t soa_width = 0;
-    void (*soa_vertical)(std::uint64_t* acc_lo, std::uint64_t* acc_hi,
-                         const std::uint64_t* da, std::size_t nda,
-                         const std::uint64_t* db,
-                         std::size_t ndb) = nullptr;
 };
 
 /** The scalar reference table (always available). */

@@ -101,8 +101,6 @@ scalar_table()
         t.add_n = scalar_add_n;
         t.sub_n = scalar_sub_n;
         t.mul_basecase = scalar_mul_basecase;
-        t.soa_width = 0;
-        t.soa_vertical = nullptr;
         return t;
     }();
     return table;

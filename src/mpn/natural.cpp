@@ -92,7 +92,7 @@ operator*(const Natural& a, const Natural& b)
     if (a.is_zero() || b.is_zero())
         return Natural();
     // Churn visibility: every heap-allocated product buffer bumps
-    // mpn.alloc.count (the SoA batch path bumps it once per lane too).
+    // mpn.alloc.count.
     static support::metrics::Counter& allocs =
         support::metrics::counter("mpn.alloc.count");
     allocs.add(1);

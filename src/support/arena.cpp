@@ -1,13 +1,12 @@
 #include "support/arena.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
+#include <bit>
 #include <new>
 #include <string>
-#include <utility>
 
 #include "support/assert.hpp"
+#include "support/env.hpp"
 #include "support/errors.hpp"
 #include "support/metrics.hpp"
 
@@ -59,312 +58,68 @@ asan_active()
 
 namespace {
 
-constexpr std::size_t kMinShift = 3;  // 2^3 = kMinClassWords
-constexpr std::size_t kMaxShift = 18; // 2^18 = kMaxClassWords
-constexpr int kClassCount = static_cast<int>(kMaxShift - kMinShift) + 1;
 constexpr std::size_t kBlockAlign = 64;
-/** Target slab footprint; small classes amortize the system call and
- * the depot lock over many blocks, huge classes get one block each. */
-constexpr std::size_t kSlabTargetBytes = std::size_t{256} << 10;
 
-int
-class_index(std::size_t words)
-{
-    std::size_t shift = kMinShift;
-    while ((std::size_t{1} << shift) < words)
-        ++shift;
-    return static_cast<int>(shift - kMinShift);
-}
-
+/** Free-list index of a size class (a power of two in range). */
 std::size_t
-class_words(int index)
+class_index(std::size_t class_words)
 {
-    return std::size_t{1} << (kMinShift + static_cast<std::size_t>(index));
+    return static_cast<std::size_t>(
+        std::countr_zero(class_words) -
+        std::countr_zero(LimbArena::kMinClassWords));
 }
 
-std::size_t
-env_size_t(const char* name, std::size_t fallback)
+/** The process arena's mirrors in the metrics registry. */
+struct ArenaMetrics
 {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0')
-        return fallback;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0')
-        throw camp::InvalidArgument(std::string(name) + "='" + raw +
-                                    "' is not a nonnegative integer");
-    return static_cast<std::size_t>(v);
-}
-
-/** Per-(thread, arena) block cache. Entries are validated through the
- * arena's token so a destroyed private arena leaves only inert stale
- * pointers behind, never a dangling release. */
-struct Magazine
-{
-    ArenaImpl* impl = nullptr;
-    std::weak_ptr<void> token;
-    std::vector<std::uint64_t*> classes[kClassCount];
-};
-
-} // namespace
-
-struct ArenaImpl
-{
-    std::mutex mutex;
-    std::vector<std::uint64_t*> depot[kClassCount]; // guarded by mutex
-    std::vector<std::pair<void*, std::size_t>> slabs; // guarded by mutex
-    std::size_t slab_bytes = 0;                       // guarded by mutex
-    std::size_t oversize_bytes = 0;                   // guarded by mutex
-
-    /** Held by the arena, observed weakly by thread magazines: lock()
-     * failing means the arena is gone and cached blocks are dead. */
-    std::shared_ptr<void> token;
-
-    std::atomic<std::uint64_t> allocs{0};
-    std::atomic<std::uint64_t> releases{0};
-    std::atomic<std::uint64_t> magazine_hits{0};
-    std::atomic<std::uint64_t> depot_hits{0};
-    std::atomic<std::uint64_t> slab_allocs{0};
-    std::atomic<std::uint64_t> oversize_allocs{0};
-    std::atomic<std::uint64_t> magazine_flushes{0};
-    std::atomic<std::uint64_t> live_bytes{0};
-    std::atomic<std::uint64_t> high_water_bytes{0};
-
-    // Global-arena mirrors into the metrics registry (null otherwise).
-    metrics::Counter* m_allocs = nullptr;
-    metrics::Counter* m_releases = nullptr;
-    metrics::Counter* m_magazine_hits = nullptr;
-    metrics::Counter* m_depot_hits = nullptr;
-    metrics::Counter* m_slab_allocs = nullptr;
-    metrics::Counter* m_magazine_flushes = nullptr;
-    metrics::Gauge* m_live_bytes = nullptr;
-    metrics::Gauge* m_high_water = nullptr;
-    metrics::Gauge* m_slab_bytes = nullptr;
+    metrics::Counter& allocs = metrics::counter("arena.alloc.count");
+    metrics::Counter& releases = metrics::counter("arena.release.count");
+    metrics::Counter& free_list_hits =
+        metrics::counter("arena.free_list.hits");
+    metrics::Gauge& live_bytes = metrics::gauge("arena.live_bytes");
+    metrics::Gauge& high_water_bytes =
+        metrics::gauge("arena.high_water_bytes");
+    metrics::Gauge& held_bytes = metrics::gauge("arena.held_bytes");
 
     void
-    note_alloc(std::size_t bytes)
+    mirror(const ArenaStats& stats)
     {
-        allocs.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t live =
-            live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-        std::uint64_t hw = high_water_bytes.load(std::memory_order_relaxed);
-        while (live > hw &&
-               !high_water_bytes.compare_exchange_weak(
-                   hw, live, std::memory_order_relaxed))
-            ;
-        if (m_allocs != nullptr) {
-            m_allocs->add();
-            m_live_bytes->set(static_cast<std::int64_t>(live));
-            m_high_water->update_max(static_cast<std::int64_t>(live));
-        }
-    }
-
-    void
-    note_release(std::size_t bytes)
-    {
-        releases.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t live =
-            live_bytes.fetch_sub(bytes, std::memory_order_relaxed) - bytes;
-        if (m_releases != nullptr) {
-            m_releases->add();
-            m_live_bytes->set(static_cast<std::int64_t>(live));
-        }
-    }
-
-    /** Depot-side release: poison and file under the class free list.
-     * Caller holds no lock. */
-    void
-    depot_push(int cls, std::uint64_t* ptr)
-    {
-        asan_poison(ptr, class_words(cls) * sizeof(std::uint64_t));
-        std::lock_guard<std::mutex> lock(mutex);
-        depot[cls].push_back(ptr);
-    }
-
-    void
-    depot_push_many(int cls, std::vector<std::uint64_t*>& blocks)
-    {
-        const std::size_t bytes = class_words(cls) * sizeof(std::uint64_t);
-        for (std::uint64_t* ptr : blocks)
-            asan_poison(ptr, bytes);
-        std::lock_guard<std::mutex> lock(mutex);
-        auto& list = depot[cls];
-        list.insert(list.end(), blocks.begin(), blocks.end());
-        blocks.clear();
-    }
-
-    /** Thread-exit path: hand every cached block back to the depot. */
-    void
-    drain_magazine(Magazine& mag)
-    {
-        for (int cls = 0; cls < kClassCount; ++cls)
-            if (!mag.classes[cls].empty())
-                depot_push_many(cls, mag.classes[cls]);
-    }
-
-    /** Pop a free block for @p cls, carving a new slab when the list is
-     * empty. Throws ResourceExhausted (without mutating anything) when
-     * the byte budget cannot cover a new slab. */
-    std::uint64_t*
-    depot_pop_or_carve(int cls, const ArenaOptions& options)
-    {
-        const std::size_t block_bytes =
-            class_words(cls) * sizeof(std::uint64_t);
-        std::lock_guard<std::mutex> lock(mutex);
-        auto& list = depot[cls];
-        if (!list.empty()) {
-            std::uint64_t* ptr = list.back();
-            list.pop_back();
-            depot_hits.fetch_add(1, std::memory_order_relaxed);
-            if (m_depot_hits != nullptr)
-                m_depot_hits->add();
-            return ptr;
-        }
-
-        const std::size_t per_slab = std::clamp<std::size_t>(
-            kSlabTargetBytes / block_bytes, 1, 64);
-        const std::size_t slab_size = per_slab * block_bytes;
-        if (options.max_bytes != 0 &&
-            slab_bytes + oversize_bytes + slab_size > options.max_bytes)
-            throw camp::ResourceExhausted(
-                "LimbArena: slab of " + std::to_string(slab_size) +
-                " bytes would exceed CAMP_ARENA_MAX_BYTES=" +
-                std::to_string(options.max_bytes) + " (slabs hold " +
-                std::to_string(slab_bytes) + " bytes)");
-
-        auto* slab = static_cast<std::uint64_t*>(
-            ::operator new(slab_size, std::align_val_t(kBlockAlign)));
-        slabs.emplace_back(slab, slab_size);
-        slab_bytes += slab_size;
-        slab_allocs.fetch_add(1, std::memory_order_relaxed);
-        if (m_slab_allocs != nullptr) {
-            m_slab_allocs->add();
-            m_slab_bytes->set(static_cast<std::int64_t>(slab_bytes));
-        }
-
-        const std::size_t block_words = class_words(cls);
-        for (std::size_t i = 1; i < per_slab; ++i) {
-            std::uint64_t* block = slab + i * block_words;
-            asan_poison(block, block_bytes);
-            list.push_back(block);
-        }
-        depot_hits.fetch_add(1, std::memory_order_relaxed);
-        if (m_depot_hits != nullptr)
-            m_depot_hits->add();
-        return slab; // first block of the fresh slab
-    }
-
-    std::uint64_t*
-    alloc_oversize(std::size_t words, const ArenaOptions& options)
-    {
-        const std::size_t bytes = words * sizeof(std::uint64_t);
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (options.max_bytes != 0 &&
-                slab_bytes + oversize_bytes + bytes > options.max_bytes)
-                throw camp::ResourceExhausted(
-                    "LimbArena: oversize block of " + std::to_string(bytes) +
-                    " bytes would exceed CAMP_ARENA_MAX_BYTES=" +
-                    std::to_string(options.max_bytes));
-            oversize_bytes += bytes;
-        }
-        oversize_allocs.fetch_add(1, std::memory_order_relaxed);
-        return static_cast<std::uint64_t*>(
-            ::operator new(bytes, std::align_val_t(kBlockAlign)));
-    }
-
-    void
-    free_oversize(std::uint64_t* ptr, std::size_t words)
-    {
-        const std::size_t bytes = words * sizeof(std::uint64_t);
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            CAMP_ASSERT(oversize_bytes >= bytes);
-            oversize_bytes -= bytes;
-        }
-        ::operator delete(ptr, std::align_val_t(kBlockAlign));
+        live_bytes.set(static_cast<std::int64_t>(stats.live_bytes));
+        high_water_bytes.set(
+            static_cast<std::int64_t>(stats.high_water_bytes));
+        held_bytes.set(static_cast<std::int64_t>(stats.held_bytes));
     }
 };
 
-namespace {
-
-/** Thread-local magazine table; the destructor hands surviving cached
- * blocks back to every still-live arena at thread exit. */
-struct ThreadCache
+ArenaMetrics&
+arena_metrics()
 {
-    std::vector<Magazine> entries;
-
-    ~ThreadCache()
-    {
-        for (Magazine& mag : entries)
-            if (auto alive = mag.token.lock())
-                mag.impl->drain_magazine(mag);
-    }
-};
-
-thread_local ThreadCache t_cache;
-
-Magazine&
-tls_magazine(ArenaImpl& impl)
-{
-    auto& entries = t_cache.entries;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].impl == &impl && !entries[i].token.expired())
-            return entries[i];
-        if (entries[i].token.expired()) {
-            // Stale entry from a destroyed arena: the slabs backing its
-            // cached pointers are gone, so just drop them.
-            entries.erase(entries.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-            --i;
-        }
-    }
-    entries.push_back(Magazine{});
-    entries.back().impl = &impl;
-    entries.back().token = impl.token;
-    return entries.back();
+    static ArenaMetrics m;
+    return m;
 }
 
 } // namespace
 
-LimbArena::LimbArena(ArenaOptions options)
-    : impl_(std::make_unique<ArenaImpl>()), options_(options)
-{
-    impl_->token = std::make_shared<int>(0);
-    if (options_.publish_metrics) {
-        impl_->m_allocs = &metrics::counter("arena.alloc.count");
-        impl_->m_releases = &metrics::counter("arena.release.count");
-        impl_->m_magazine_hits = &metrics::counter("arena.magazine.hits");
-        impl_->m_depot_hits = &metrics::counter("arena.depot.hits");
-        impl_->m_slab_allocs = &metrics::counter("arena.slab.count");
-        impl_->m_magazine_flushes =
-            &metrics::counter("arena.magazine.flushes");
-        impl_->m_live_bytes = &metrics::gauge("arena.live_bytes");
-        impl_->m_high_water = &metrics::gauge("arena.high_water_bytes");
-        impl_->m_slab_bytes = &metrics::gauge("arena.slab_bytes");
-    }
-}
+LimbArena::LimbArena(ArenaOptions options) : options_(options) {}
 
 LimbArena::~LimbArena()
 {
-    flush_thread_cache();
-    // Invalidate outstanding magazines on other threads first, so their
-    // exit-time drain sees a dead token instead of touching freed slabs.
-    impl_->token.reset();
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (auto& [slab, size] : impl_->slabs) {
-        // ASan requires freed ranges to be addressable again.
-        asan_unpoison(slab, size);
-        ::operator delete(slab, std::align_val_t(kBlockAlign));
-    }
-    impl_->slabs.clear();
+    CAMP_ASSERT_MSG(stats_.live_bytes == 0,
+                    "LimbArena destroyed with blocks still out");
+    for (std::size_t cls = 0; cls < kClassCount; ++cls)
+        for (std::uint64_t* ptr : free_[cls]) {
+            // ASan requires freed ranges to be addressable again.
+            asan_unpoison(ptr, (kMinClassWords << cls) *
+                                   sizeof(std::uint64_t));
+            ::operator delete(ptr, std::align_val_t(kBlockAlign));
+        }
 }
 
 LimbArena&
 LimbArena::global()
 {
-    // Leaked on purpose: TLS destructors (ScratchArena, magazines) may
-    // release blocks after static destruction begins.
+    // Leaked on purpose: ScratchArena's TLS destructor releases its
+    // blocks at thread exit, possibly after static destruction begins.
     static LimbArena* arena = [] {
         ArenaOptions options = arena_options_from_env();
         options.publish_metrics = true;
@@ -378,34 +133,52 @@ LimbArena::size_class_words(std::size_t words)
 {
     if (words > kMaxClassWords)
         return words;
-    return class_words(class_index(words));
+    return std::max(kMinClassWords, std::bit_ceil(words));
 }
 
 std::uint64_t*
 LimbArena::alloc(std::size_t words)
 {
-    if (words > kMaxClassWords) {
-        std::uint64_t* ptr = impl_->alloc_oversize(words, options_);
-        impl_->note_alloc(words * sizeof(std::uint64_t));
-        return ptr;
-    }
-    const int cls = class_index(words);
-    const std::size_t bytes = class_words(cls) * sizeof(std::uint64_t);
+    const std::size_t cap = size_class_words(words);
+    const std::size_t bytes = cap * sizeof(std::uint64_t);
+    const bool oversize = cap > kMaxClassWords;
     std::uint64_t* ptr = nullptr;
-    if (options_.magazine_cap > 0) {
-        auto& list = tls_magazine(*impl_).classes[cls];
-        if (!list.empty()) {
-            ptr = list.back();
-            list.pop_back();
-            impl_->magazine_hits.fetch_add(1, std::memory_order_relaxed);
-            if (impl_->m_magazine_hits != nullptr)
-                impl_->m_magazine_hits->add();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::vector<std::uint64_t*>* list =
+            oversize ? nullptr : &free_[class_index(cap)];
+        const bool hit = list != nullptr && !list->empty();
+        if (hit) {
+            ptr = list->back();
+            list->pop_back();
+            ++stats_.free_list_hits;
+        } else {
+            if (options_.max_bytes != 0 &&
+                stats_.held_bytes + bytes > options_.max_bytes)
+                throw camp::ResourceExhausted(
+                    "LimbArena: block of " + std::to_string(bytes) +
+                    " bytes would exceed CAMP_ARENA_MAX_BYTES=" +
+                    std::to_string(options_.max_bytes) +
+                    " (the arena holds " +
+                    std::to_string(stats_.held_bytes) + " bytes)");
+            ptr = static_cast<std::uint64_t*>(
+                ::operator new(bytes, std::align_val_t(kBlockAlign)));
+            stats_.held_bytes += bytes;
+            stats_.oversize_allocs += oversize;
+        }
+        ++stats_.allocs;
+        stats_.live_bytes += bytes;
+        stats_.high_water_bytes =
+            std::max(stats_.high_water_bytes, stats_.live_bytes);
+        if (options_.publish_metrics) {
+            ArenaMetrics& m = arena_metrics();
+            m.allocs.add();
+            if (hit)
+                m.free_list_hits.add();
+            m.mirror(stats_);
         }
     }
-    if (ptr == nullptr)
-        ptr = impl_->depot_pop_or_carve(cls, options_);
     asan_unpoison(ptr, bytes);
-    impl_->note_alloc(bytes);
     return ptr;
 }
 
@@ -414,84 +187,43 @@ LimbArena::release(std::uint64_t* ptr, std::size_t words)
 {
     if (ptr == nullptr)
         return;
-    if (words > kMaxClassWords) {
-        impl_->note_release(words * sizeof(std::uint64_t));
-        impl_->free_oversize(ptr, words);
-        return;
+    const std::size_t cap = size_class_words(words);
+    const std::size_t bytes = cap * sizeof(std::uint64_t);
+    const bool oversize = cap > kMaxClassWords;
+    if (!oversize)
+        asan_poison(ptr, bytes);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        CAMP_ASSERT(stats_.live_bytes >= bytes);
+        ++stats_.releases;
+        stats_.live_bytes -= bytes;
+        if (oversize)
+            stats_.held_bytes -= bytes;
+        else
+            free_[class_index(cap)].push_back(ptr);
+        if (options_.publish_metrics) {
+            ArenaMetrics& m = arena_metrics();
+            m.releases.add();
+            m.mirror(stats_);
+        }
     }
-    const int cls = class_index(words);
-    const std::size_t bytes = class_words(cls) * sizeof(std::uint64_t);
-    impl_->note_release(bytes);
-    if (options_.magazine_cap == 0) {
-        impl_->depot_push(cls, ptr);
-        return;
-    }
-    Magazine& mag = tls_magazine(*impl_);
-    asan_poison(ptr, bytes);
-    mag.classes[cls].push_back(ptr);
-    if (mag.classes[cls].size() > options_.magazine_cap) {
-        impl_->magazine_flushes.fetch_add(1, std::memory_order_relaxed);
-        if (impl_->m_magazine_flushes != nullptr)
-            impl_->m_magazine_flushes->add();
-        // depot_push_many re-poisons, which is idempotent.
-        impl_->depot_push_many(cls, mag.classes[cls]);
-    }
-}
-
-void
-LimbArena::release_direct(std::uint64_t* ptr, std::size_t words)
-{
-    if (ptr == nullptr)
-        return;
-    if (words > kMaxClassWords) {
-        impl_->note_release(words * sizeof(std::uint64_t));
-        impl_->free_oversize(ptr, words);
-        return;
-    }
-    const int cls = class_index(words);
-    impl_->note_release(class_words(cls) * sizeof(std::uint64_t));
-    impl_->depot_push(cls, ptr);
-}
-
-void
-LimbArena::flush_thread_cache()
-{
-    for (Magazine& mag : t_cache.entries)
-        if (mag.impl == impl_.get() && !mag.token.expired())
-            impl_->drain_magazine(mag);
+    if (oversize)
+        ::operator delete(ptr, std::align_val_t(kBlockAlign));
 }
 
 ArenaStats
 LimbArena::stats() const
 {
-    ArenaStats out;
-    out.allocs = impl_->allocs.load(std::memory_order_relaxed);
-    out.releases = impl_->releases.load(std::memory_order_relaxed);
-    out.magazine_hits =
-        impl_->magazine_hits.load(std::memory_order_relaxed);
-    out.depot_hits = impl_->depot_hits.load(std::memory_order_relaxed);
-    out.slab_allocs = impl_->slab_allocs.load(std::memory_order_relaxed);
-    out.oversize_allocs =
-        impl_->oversize_allocs.load(std::memory_order_relaxed);
-    out.magazine_flushes =
-        impl_->magazine_flushes.load(std::memory_order_relaxed);
-    out.live_bytes = impl_->live_bytes.load(std::memory_order_relaxed);
-    out.high_water_bytes =
-        impl_->high_water_bytes.load(std::memory_order_relaxed);
-    {
-        std::lock_guard<std::mutex> lock(impl_->mutex);
-        out.slab_bytes = impl_->slab_bytes;
-    }
-    return out;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return stats_;
 }
 
 ArenaOptions
 arena_options_from_env()
 {
     ArenaOptions options;
-    options.max_bytes = env_size_t("CAMP_ARENA_MAX_BYTES", 0);
-    options.magazine_cap = static_cast<unsigned>(
-        env_size_t("CAMP_ARENA_MAGAZINE", options.magazine_cap));
+    options.max_bytes = static_cast<std::size_t>(
+        env_nonnegative_u64("CAMP_ARENA_MAX_BYTES", 0));
     return options;
 }
 

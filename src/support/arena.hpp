@@ -1,52 +1,39 @@
 /**
  * @file
- * LimbArena: a size-classed slab allocator for limb buffers — the
- * memory plane under the exec layer's wave flow (ROADMAP item 3). The
- * batch path used to heap-allocate operand copies, scratch, and result
- * limbs for every product on the way through SubmitQueue →
- * ShardedScheduler → Device; the FPGA APC pipeline (PAPERS.md, de Fine
- * Licht et al.) gets its throughput from statically staged buffers with
- * no per-operation allocation, and this arena is the software analogue:
- * steady-state wave dispatch recycles a fixed set of blocks and
+ * LimbArena: a size-classed free-list allocator for limb buffers — the
+ * memory plane under the exec layer's wave flow. WaveBuffer segments
+ * and the thread-local ScratchArena's bump blocks both come from here,
+ * so steady-state wave dispatch recycles a fixed set of blocks and
  * allocates nothing from the system.
  *
- * Design (slab + magazine, the classic Bonwick layout):
+ * Design (DESIGN.md §14):
  *  - Sizes round up to power-of-two *size classes* between
  *    kMinClassWords (64 B) and kMaxClassWords (2 MiB); larger requests
  *    go straight to the system allocator ("oversize") and are returned
  *    to it on release.
- *  - A central *depot* keeps a free list per class, refilled by carving
- *    64-byte-aligned blocks out of freshly allocated *slabs*.
- *  - Each thread holds a small *magazine* (LIFO stack, capacity
- *    CAMP_ARENA_MAGAZINE) per class, so the hot alloc/release pair is
- *    lock-free; a full magazine flushes to the depot in one lock.
- *  - An optional byte budget (CAMP_ARENA_MAX_BYTES) bounds slab +
- *    oversize memory; exceeding it throws camp::ResourceExhausted
- *    *before* any state mutates.
+ *  - Each class keeps one free list of 64-byte-aligned blocks under
+ *    the arena's mutex: alloc pops it, or else takes a fresh block
+ *    from the system; release, from any thread, pushes the block back.
+ *  - An optional byte budget (CAMP_ARENA_MAX_BYTES) bounds the bytes
+ *    held from the system, live plus free-listed; a request that would
+ *    exceed it throws camp::ResourceExhausted *before* any state
+ *    mutates.
  *
- * Lifetime safety: under AddressSanitizer every free block (depot,
- * magazine, or uncarved slab tail) is poisoned and only unpoisoned
- * while handed out, so a use-after-release of an arena-backed view is
- * a hard ASan failure, not silent corruption — the property the
- * memory-plane test harness leans on (tests/test_memory_plane.cpp,
- * the CI arena-poisoning leg).
- *
- * The PR-2 TLS ScratchArena (thread_pool.hpp) now draws its bump
- * blocks from here too, so mpn scratch and exec wave storage share one
- * recycling pool and one accounting surface (`arena.*` metrics).
+ * Lifetime safety: under AddressSanitizer every free-listed block is
+ * poisoned and only unpoisoned while handed out, so a use-after-release
+ * of an arena-backed view is a hard ASan failure, not silent
+ * corruption — the property the memory-plane test harness leans on
+ * (tests/test_memory_plane.cpp, the CI arena-poisoning leg).
  */
 #ifndef CAMP_SUPPORT_ARENA_HPP
 #define CAMP_SUPPORT_ARENA_HPP
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 namespace camp::support {
-
-struct ArenaImpl;
 
 /** Manual ASan poisoning helpers: no-ops outside ASan builds. Exposed
  * so arena clients that sub-carve blocks (exec::WaveBuffer) can keep
@@ -57,24 +44,22 @@ void asan_unpoison(const void* ptr, std::size_t bytes);
  * whether poisoning assertions are meaningful). */
 bool asan_active();
 
-/** Arena construction knobs (env surface: CAMP_ARENA_*). */
+/** Arena construction knobs (env surface: CAMP_ARENA_MAX_BYTES). */
 struct ArenaOptions
 {
-    /** Byte budget over slab + oversize memory; 0 = unbounded. A
-     * request that would exceed it throws camp::ResourceExhausted. */
+    /** Budget over the bytes held from the system (live plus
+     * free-listed); 0 = unbounded. A request that would exceed it
+     * throws camp::ResourceExhausted. */
     std::size_t max_bytes = 0;
-
-    /** Blocks cached per (thread, size class); 0 disables magazines
-     * (every alloc/release takes the depot lock). */
-    unsigned magazine_cap = 8;
 
     /** Publish arena.* metrics into the global registry (the process
      * arena does; private test arenas keep quiet). */
     bool publish_metrics = false;
 };
 
-/** ArenaOptions from CAMP_ARENA_MAX_BYTES / CAMP_ARENA_MAGAZINE
- * (throws camp::InvalidArgument on junk). */
+/** ArenaOptions from CAMP_ARENA_MAX_BYTES (throws
+ * camp::InvalidArgument naming it on junk, an empty value or
+ * overflow). */
 ArenaOptions arena_options_from_env();
 
 /** Point-in-time accounting snapshot (monotonic counters unless
@@ -83,14 +68,11 @@ struct ArenaStats
 {
     std::uint64_t allocs = 0;          ///< blocks handed out
     std::uint64_t releases = 0;        ///< blocks returned
-    std::uint64_t magazine_hits = 0;   ///< allocs served lock-free
-    std::uint64_t depot_hits = 0;      ///< allocs served by the depot
-    std::uint64_t slab_allocs = 0;     ///< slabs carved from the system
+    std::uint64_t free_list_hits = 0;  ///< allocs served by a free list
     std::uint64_t oversize_allocs = 0; ///< beyond-class system allocs
-    std::uint64_t magazine_flushes = 0;///< full magazines spilled
     std::uint64_t live_bytes = 0;      ///< handed out right now (gauge)
     std::uint64_t high_water_bytes = 0;///< max of live_bytes
-    std::uint64_t slab_bytes = 0;      ///< system memory held in slabs
+    std::uint64_t held_bytes = 0;      ///< live + free-listed (gauge)
 };
 
 class LimbArena
@@ -98,12 +80,14 @@ class LimbArena
   public:
     /** Smallest block: 8 limbs = one 64-byte cache line. */
     static constexpr std::size_t kMinClassWords = 8;
-    /** Largest slabbed block: 2^18 limbs = 2 MiB; above it requests
-     * pass through to the system allocator. */
+    /** Largest free-listed block: 2^18 limbs = 2 MiB; above it
+     * requests pass through to the system allocator. */
     static constexpr std::size_t kMaxClassWords =
         std::size_t{1} << 18;
 
     explicit LimbArena(ArenaOptions options = {});
+    /** Frees the free-listed blocks. Every block must have been
+     * released: one still out would dangle (asserted). */
     ~LimbArena();
 
     LimbArena(const LimbArena&) = delete;
@@ -122,31 +106,25 @@ class LimbArena
      */
     std::uint64_t* alloc(std::size_t words);
 
-    /** Return @p ptr (from alloc(@p words) on any thread) through the
-     * calling thread's magazine. */
+    /** Return @p ptr, from alloc(@p words) on any thread. */
     void release(std::uint64_t* ptr, std::size_t words);
-
-    /** release() bypassing the magazine — for TLS destructors that run
-     * after the thread's magazines are gone. */
-    void release_direct(std::uint64_t* ptr, std::size_t words);
 
     /** Capacity actually backing a @p words request (its size class;
      * == @p words above kMaxClassWords). */
     static std::size_t size_class_words(std::size_t words);
-
-    /** Spill the calling thread's magazines for this arena into the
-     * depot (tests; also handy before thread exit). */
-    void flush_thread_cache();
 
     ArenaStats stats() const;
 
     const ArenaOptions& options() const { return options_; }
 
   private:
-    friend struct ArenaImpl;
+    static constexpr std::size_t kClassCount = 16;
+    static_assert(kMaxClassWords >> (kClassCount - 1) == kMinClassWords);
 
-    std::unique_ptr<ArenaImpl> impl_;
-    ArenaOptions options_;
+    const ArenaOptions options_;
+    mutable std::mutex mutex_;
+    std::vector<std::uint64_t*> free_[kClassCount]; // guarded by mutex_
+    ArenaStats stats_;                              // guarded by mutex_
 };
 
 } // namespace camp::support

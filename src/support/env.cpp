@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -60,6 +61,24 @@ std::uint64_t
 env_nonnegative_u64(const char* name, std::uint64_t fallback)
 {
     return parse_integer(name, fallback, 0, "a nonnegative integer");
+}
+
+double
+env_double(const char* name, double fallback)
+{
+    const char* env = std::getenv(name);
+    if (env == nullptr)
+        return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(env, &end);
+    // strtod skips leading blanks and reads a prefix: demand that the
+    // whole value is the number.
+    if (end == env || *end != '\0' ||
+        std::isspace(static_cast<unsigned char>(env[0])) ||
+        errno == ERANGE || !std::isfinite(v))
+        bad_value(name, env, "a finite number");
+    return v;
 }
 
 bool

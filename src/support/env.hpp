@@ -1,12 +1,11 @@
 /**
  * @file
- * Hardened CAMP_* environment parsing. The serving layer's knobs and
- * the exec plane's numeric knobs go through these helpers so
- * misconfiguration is loud: junk, overflow (out of the field's range),
- * and *empty* values all throw camp::InvalidArgument naming the
- * offending variable — an empty export is almost always a broken CI
- * substitution, and silently falling back to the default there hides
- * the mistake.
+ * Hardened CAMP_* environment parsing. Every numeric CAMP_* knob of the
+ * library goes through these helpers so misconfiguration is loud:
+ * junk, overflow (out of the field's range), and *empty* values all
+ * throw camp::InvalidArgument naming the offending variable — an empty
+ * export is almost always a broken CI substitution, and silently
+ * falling back to the default there hides the mistake.
  */
 #ifndef CAMP_SUPPORT_ENV_HPP
 #define CAMP_SUPPORT_ENV_HPP
@@ -31,6 +30,14 @@ std::uint64_t env_nonnegative_u64(const char* name,
 /** Boolean knob: "0"/"1" (also "false"/"true", "off"/"on"). Throws
  * camp::InvalidArgument on anything else, empty included. */
 bool env_flag(const char* name, bool fallback);
+
+/** A finite floating-point number (strtod syntax: decimal, exponent or
+ * hex float) spanning the whole value; @p fallback when unset. An
+ * empty value, a leading blank, junk, trailing characters, a value out
+ * of double range, inf or nan throw camp::InvalidArgument naming
+ * @p name, so a typo fails instead of reading as a prefix. Range
+ * checks stay with the caller. */
+double env_double(const char* name, double fallback);
 
 /** A 64-bit seed (CAMP_FUZZ_SEED): decimal or 0x-prefixed hex over the
  * full 64-bit range; @p fallback when unset. An empty value, junk, a

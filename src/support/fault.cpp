@@ -1,7 +1,8 @@
 #include "support/fault.hpp"
 
 #include <cstdlib>
-#include <cstring>
+
+#include "support/env.hpp"
 
 namespace camp {
 
@@ -18,53 +19,16 @@ fault_site_name(FaultSite site)
     return "unknown";
 }
 
-namespace {
-
-bool
-env_double(const char* name, double* out)
-{
-    const char* value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return false;
-    char* end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end == value)
-        return false;
-    *out = parsed;
-    return true;
-}
-
-bool
-env_u64(const char* name, std::uint64_t* out)
-{
-    const char* value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return false;
-    char* end = nullptr;
-    const std::uint64_t parsed = std::strtoull(value, &end, 0);
-    if (end == value)
-        return false;
-    *out = parsed;
-    return true;
-}
-
-} // namespace
-
 FaultConfig
 FaultConfig::from_env(const FaultConfig& base)
 {
     FaultConfig config = base;
-    env_u64("CAMP_FAULT_SEED", &config.seed);
-    double rate = 0;
-    if (env_double("CAMP_FAULT_RATE", &rate))
-        config.rate.fill(rate);
-    static constexpr const char* kSiteVars[kFaultSiteCount] = {
-        "CAMP_FAULT_IPU",          "CAMP_FAULT_CONVERTER",
-        "CAMP_FAULT_GATHER",       "CAMP_FAULT_MEM_TRUNCATE",
-        "CAMP_FAULT_MEM_STALL",
-    };
+    config.seed = support::env_seed("CAMP_FAULT_SEED", config.seed);
+    if (std::getenv("CAMP_FAULT_RATE") != nullptr)
+        config.rate.fill(support::env_double("CAMP_FAULT_RATE", 0.0));
     for (std::size_t i = 0; i < kFaultSiteCount; ++i)
-        env_double(kSiteVars[i], &config.rate[i]);
+        config.rate[i] =
+            support::env_double(kFaultSiteVars[i], config.rate[i]);
     return config;
 }
 

@@ -40,6 +40,13 @@ inline constexpr std::size_t kFaultSiteCount = 5;
 
 const char* fault_site_name(FaultSite site);
 
+/** Per-site rate overrides, in FaultSite order. */
+inline constexpr const char* kFaultSiteVars[kFaultSiteCount] = {
+    "CAMP_FAULT_IPU",          "CAMP_FAULT_CONVERTER",
+    "CAMP_FAULT_GATHER",       "CAMP_FAULT_MEM_TRUNCATE",
+    "CAMP_FAULT_MEM_STALL",
+};
+
 /** Per-site firing rates and the injection seed. */
 struct FaultConfig
 {
@@ -71,9 +78,11 @@ struct FaultConfig
 
     /**
      * Copy of @p base with environment overrides applied:
-     * CAMP_FAULT_SEED, CAMP_FAULT_RATE (all sites), and per-site
-     * CAMP_FAULT_IPU / CAMP_FAULT_CONVERTER / CAMP_FAULT_GATHER /
-     * CAMP_FAULT_MEM_TRUNCATE / CAMP_FAULT_MEM_STALL.
+     * CAMP_FAULT_SEED (decimal or 0x hex, support::env_seed),
+     * CAMP_FAULT_RATE (all sites), then the per-site kFaultSiteVars
+     * (support::env_double). A malformed value throws
+     * camp::InvalidArgument naming its variable; a rate outside
+     * [0, 1] is sim::validate's ConfigError.
      */
     static FaultConfig from_env(const FaultConfig& base);
 };

@@ -1,10 +1,10 @@
 #include "support/thread_pool.hpp"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "support/arena.hpp"
 #include "support/assert.hpp"
+#include "support/env.hpp"
 #include "support/metrics.hpp"
 
 namespace camp::support {
@@ -51,16 +51,15 @@ hardware_threads()
 }
 
 unsigned
+thread_count_from_env()
+{
+    return env_positive_unsigned("CAMP_THREADS", hardware_threads());
+}
+
+unsigned
 env_thread_count()
 {
-    static const unsigned count = [] {
-        if (const char* env = std::getenv("CAMP_THREADS")) {
-            const long v = std::strtol(env, nullptr, 10);
-            if (v >= 1)
-                return static_cast<unsigned>(v);
-        }
-        return hardware_threads();
-    }();
+    static const unsigned count = thread_count_from_env();
     return count;
 }
 
@@ -259,11 +258,10 @@ ScratchArena::tls()
 
 ScratchArena::~ScratchArena()
 {
-    // Runs at thread exit, possibly after this thread's arena magazines
-    // are gone — release_direct() files blocks straight into the depot.
-    // The global arena is leaked, so it is always alive here.
+    // Runs at thread exit; the global arena is leaked, so it is always
+    // alive here.
     for (Block& block : blocks_)
-        LimbArena::global().release_direct(block.words, block.capacity);
+        LimbArena::global().release(block.words, block.capacity);
     blocks_.clear();
 }
 

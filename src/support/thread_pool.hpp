@@ -30,9 +30,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace camp::support {
@@ -41,10 +39,17 @@ namespace camp::support {
 unsigned hardware_threads();
 
 /**
- * Worker-thread budget from the environment: CAMP_THREADS if set and
- * >= 1, otherwise hardware_threads(). This is the *total* executor
- * count including the thread that calls wait() (which helps), so the
- * global pool spawns one fewer worker.
+ * CAMP_THREADS as a positive integer below 2^32, hardware_threads()
+ * when unset; junk, 0, an empty value or overflow throw
+ * camp::InvalidArgument naming the variable. Reads the environment on
+ * every call.
+ */
+unsigned thread_count_from_env();
+
+/**
+ * Worker-thread budget: thread_count_from_env(), read once and cached.
+ * This is the *total* executor count including the thread that calls
+ * wait() (which helps), so the global pool spawns one fewer worker.
  */
 unsigned env_thread_count();
 
@@ -214,24 +219,6 @@ class ScratchFrame
 
     /** Words live until this frame unwinds. */
     std::uint64_t* alloc(std::size_t n) { return arena_.alloc(n); }
-
-    /** @p n default-initialized objects of a trivially copyable and
-     * destructible, at most word-aligned @p T, live until this frame
-     * unwinds. */
-    template <class T>
-    T*
-    alloc_array(std::size_t n)
-    {
-        static_assert(std::is_trivially_copyable_v<T> &&
-                      std::is_trivially_destructible_v<T> &&
-                      alignof(T) <= alignof(std::uint64_t));
-        constexpr std::size_t words =
-            (sizeof(T) + sizeof(std::uint64_t) - 1) /
-            sizeof(std::uint64_t);
-        // Non-allocating array placement new starts the lifetime of a
-        // default-initialized n-element T array in the words.
-        return ::new (static_cast<void*>(alloc(n * words))) T[n];
-    }
 
   private:
     ScratchArena& arena_;

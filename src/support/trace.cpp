@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "support/env.hpp"
+
 namespace camp::support::trace {
 
 namespace {
@@ -29,18 +31,14 @@ TraceState&
 state()
 {
     static TraceState* s = [] {
+        const std::size_t capacity = capacity_from_env();
         auto* st = new TraceState;
         st->epoch = std::chrono::steady_clock::now();
         if (const char* env = std::getenv("CAMP_TRACE")) {
             if (env[0] != '\0')
                 st->path = env;
         }
-        st->capacity = 1u << 16;
-        if (const char* env = std::getenv("CAMP_TRACE_BUF")) {
-            const long long v = std::strtoll(env, nullptr, 10);
-            if (v >= 1)
-                st->capacity = static_cast<std::size_t>(v);
-        }
+        st->capacity = capacity;
         st->ring.resize(st->capacity);
         st->enabled.store(!st->path.empty(),
                           std::memory_order_release);
@@ -60,6 +58,13 @@ write_at_exit()
 }
 
 } // namespace
+
+std::size_t
+capacity_from_env()
+{
+    return static_cast<std::size_t>(
+        env_positive_u64("CAMP_TRACE_BUF", std::uint64_t{1} << 16));
+}
 
 bool
 enabled()

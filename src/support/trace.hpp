@@ -66,6 +66,12 @@ void emit(const Event& event);
 /** Ring capacity in events. */
 std::size_t capacity();
 
+/** CAMP_TRACE_BUF as a positive event count, 1 << 16 when unset; junk,
+ * 0, an empty value or overflow throw camp::InvalidArgument naming the
+ * variable. Reads the environment on every call; the ring is sized from
+ * it once, on first use. */
+std::size_t capacity_from_env();
+
 /** Events emitted since the last reset (monotonic; may exceed
  * capacity(), in which case the oldest were overwritten). */
 std::uint64_t total_emitted();

@@ -28,6 +28,7 @@
 #include "mpapca/runtime.hpp"
 #include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
+#include "scoped_env.hpp"
 #include "support/errors.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
@@ -190,59 +191,6 @@ TEST(DeviceTuning, PerDeviceEnvOverridesApply)
 }
 
 namespace {
-
-/** Sets @p name to @p value for one scope, then restores the previous
- * value (or its absence) — CI legs export CAMP_SHARDS and friends. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char* name, const char* value) : name_(name)
-    {
-        if (const char* old = std::getenv(name)) {
-            had_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value, 1);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char* name_;
-    bool had_ = false;
-    std::string old_;
-};
-
-/** Each of @p values in @p name must make @p parse throw
- * camp::InvalidArgument naming the variable. */
-void
-expect_env_rejects(const std::string& name,
-                   const std::vector<const char*>& values,
-                   const std::function<void()>& parse)
-{
-    for (const char* value : values) {
-        const ScopedEnv env(name.c_str(), value);
-        try {
-            parse();
-            ADD_FAILURE() << name << "='" << value
-                          << "' must throw InvalidArgument";
-        } catch (const camp::InvalidArgument& e) {
-            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
-                << "the error must name the variable: " << e.what();
-        }
-    }
-}
-
-/** Junk every positive numeric knob rejects: not a number, trailing
- * garbage, set-but-empty, zero, negative, and beyond long long. */
-const std::vector<const char*> kJunkValues = {
-    "abc", "12k", "", "0", "-3", "123456789012345678901234567890"};
 
 const char* const kThreshFields[] = {"KARATSUBA", "TOOM3", "TOOM4",
                                      "TOOM6",     "SSA",   "PARALLEL"};

@@ -10,10 +10,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 #include "mpapca/runtime.hpp"
 #include "mpn/natural.hpp"
+#include "scoped_env.hpp"
 #include "sim/analytic_model.hpp"
 #include "sim/core.hpp"
 #include "support/assert.hpp"
@@ -90,6 +92,57 @@ TEST(FaultEngine, EnvOverridesConfig)
     EXPECT_DOUBLE_EQ(config.rate_at(FaultSite::GatherCarry), 0.75);
     EXPECT_TRUE(config.enabled());
     EXPECT_FALSE(FaultConfig::from_env(FaultConfig{}).enabled());
+}
+
+TEST(FaultEngine, SeedEnvRejectsJunkEmptyAndOverflow)
+{
+    // The parse used to be strtoull base 0: "012" read as octal 10,
+    // "-1" wrapped to 2^64 - 1 and junk kept the default seed.
+    const auto parse = [] { FaultConfig::from_env(FaultConfig{}); };
+    expect_env_rejects("CAMP_FAULT_SEED",
+                       {"", "abc", "12k", "-1", "+5", " 7", "0x", "0xg",
+                        "1e3", "18446744073709551616"},
+                       parse);
+    const struct
+    {
+        const char* text;
+        std::uint64_t seed;
+    } ok[] = {{"012", 12},
+              {"0x10", 16},
+              {"18446744073709551615", 18446744073709551615ull}};
+    for (const auto& c : ok) {
+        const ScopedEnv env("CAMP_FAULT_SEED", c.text);
+        EXPECT_EQ(FaultConfig::from_env(FaultConfig{}).seed, c.seed)
+            << c.text;
+    }
+}
+
+TEST(FaultEngine, RateEnvRejectsJunkEmptyAndTrailingCharacters)
+{
+    // A strtod prefix parse used to read "1e-4x" as 1e-4 and "x" as
+    // "no override", so a typo silently turned faults off.
+    const auto parse = [] { FaultConfig::from_env(FaultConfig{}); };
+    // v = 0 is CAMP_FAULT_RATE (every site), v = 1.. the site variables.
+    for (std::size_t v = 0; v <= camp::kFaultSiteCount; ++v) {
+        const char* name =
+            v == 0 ? "CAMP_FAULT_RATE" : camp::kFaultSiteVars[v - 1];
+        expect_env_rejects(name,
+                           {"", "abc", "1e-4x", "0.5 ", " 0.5", "0.1.2",
+                            "inf", "-inf", "nan", "1e999", "0,5"},
+                           parse);
+        const ScopedEnv hex(name, "0x1p-3");
+        const FaultConfig config = FaultConfig::from_env(FaultConfig{});
+        for (std::size_t i = 0; i < camp::kFaultSiteCount; ++i)
+            EXPECT_EQ(config.rate[i], v == 0 || v == i + 1 ? 0.125 : 0.0)
+                << name << " site " << i;
+    }
+    // A well-formed rate outside [0, 1] still parses; validation then
+    // rejects it as a ConfigError naming the site.
+    for (const char* bad : {"1.5", "-0.1"}) {
+        const ScopedEnv env("CAMP_FAULT_RATE", bad);
+        EXPECT_THROW(sim::validated(sim::default_config()), ConfigError)
+            << bad;
+    }
 }
 
 TEST(FaultInjection, EverySiteCorruptsValidatedProducts)

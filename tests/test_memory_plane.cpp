@@ -1,7 +1,8 @@
 /**
  * @file
  * Memory-plane tests (DESIGN.md §14): LimbArena invariants (alignment,
- * size-class reuse, magazine flush, byte-budget exhaustion, accounting)
+ * size-class reuse, cross-thread release, scratch blocks returned at
+ * thread exit, byte-budget exhaustion, accounting, the env knob)
  * plus the WaveBuffer lifetime rules, and the differential
  * lifetime/aliasing fuzz — wave construction, in-place reuse, early
  * release, and shard redistribution interleaved while asserting every
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "fuzz_seed.hpp"
 #include "mpn/natural.hpp"
 #include "mpn/view.hpp"
+#include "scoped_env.hpp"
 #include "serve/breaker.hpp"
 #include "sim/analytic_model.hpp"
 #include "sim/batch.hpp"
@@ -33,6 +36,7 @@
 #include "support/errors.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace exec = camp::exec;
 namespace sim = camp::sim;
@@ -104,46 +108,56 @@ TEST(LimbArena, MagazineServesSameClassLifo)
 {
     LimbArena arena;
     std::uint64_t* a = arena.alloc(10); // class: 16 words
-    arena.release(a, 10);
-    // Same class, different word count: the magazine's LIFO top.
     std::uint64_t* b = arena.alloc(16);
-    EXPECT_EQ(a, b);
+    arena.release(a, 10);
     arena.release(b, 16);
+    // Same class, other word counts: the class free list, LIFO.
+    std::uint64_t* c = arena.alloc(9);
+    std::uint64_t* d = arena.alloc(12);
+    EXPECT_EQ(c, b);
+    EXPECT_EQ(d, a);
+    arena.release(c, 9);
+    arena.release(d, 12);
     const support::ArenaStats stats = arena.stats();
-    EXPECT_GE(stats.magazine_hits, 1u);
+    EXPECT_EQ(stats.free_list_hits, 2u);
+    EXPECT_EQ(stats.held_bytes, 2 * 16 * sizeof(std::uint64_t));
 }
 
-TEST(LimbArena, FullMagazineFlushesToDepot)
+TEST(LimbArena, BlockReleasedOnAnotherThreadIsReused)
 {
-    ArenaOptions options;
-    options.magazine_cap = 2;
-    LimbArena arena(options);
-    std::vector<std::uint64_t*> blocks;
-    for (int i = 0; i < 6; ++i)
-        blocks.push_back(arena.alloc(8));
-    for (std::uint64_t* p : blocks)
-        arena.release(p, 8);
+    LimbArena arena;
+    std::uint64_t* p = arena.alloc(64);
+    std::thread([&arena, p] { arena.release(p, 64); }).join();
+    EXPECT_EQ(arena.stats().live_bytes, 0u);
+    std::uint64_t* q = arena.alloc(64);
+    EXPECT_EQ(q, p);
+    arena.release(q, 64);
+    // And the other way round: taken on another thread, returned here.
+    std::uint64_t* r = nullptr;
+    std::thread([&arena, &r] { r = arena.alloc(64); }).join();
+    EXPECT_EQ(r, p);
+    arena.release(r, 64);
     const support::ArenaStats stats = arena.stats();
-    EXPECT_GE(stats.magazine_flushes, 1u);
+    EXPECT_EQ(stats.free_list_hits, 2u);
+    EXPECT_EQ(stats.held_bytes, 64 * sizeof(std::uint64_t));
     EXPECT_EQ(stats.live_bytes, 0u);
-    // Everything flushed is servable again — through depot or magazine.
-    std::uint64_t* again = arena.alloc(8);
-    EXPECT_NE(again, nullptr);
-    arena.release(again, 8);
 }
 
-TEST(LimbArena, ZeroMagazineCapAlwaysUsesDepot)
+TEST(LimbArena, ScratchBlocksReturnAtThreadExit)
 {
-    ArenaOptions options;
-    options.magazine_cap = 0;
-    LimbArena arena(options);
-    std::uint64_t* a = arena.alloc(8);
-    arena.release(a, 8);
-    std::uint64_t* b = arena.alloc(8);
-    arena.release(b, 8);
-    const support::ArenaStats stats = arena.stats();
-    EXPECT_EQ(stats.magazine_hits, 0u);
-    EXPECT_GE(stats.depot_hits, 1u);
+    // A thread's scratch blocks come from the global arena and go back
+    // to it when the thread exits, spilled block included.
+    LimbArena& arena = LimbArena::global();
+    const std::uint64_t before = arena.stats().live_bytes;
+    std::uint64_t during = 0;
+    std::thread([&arena, &during] {
+        support::ScratchFrame frame;
+        frame.alloc(16)[0] = 1;
+        frame.alloc(std::size_t{1} << 14)[0] = 2; // past the first block
+        during = arena.stats().live_bytes;
+    }).join();
+    EXPECT_GT(during, before);
+    EXPECT_EQ(arena.stats().live_bytes, before);
 }
 
 TEST(LimbArena, BudgetExhaustionThrowsBeforeMutationAndRecovers)
@@ -158,7 +172,7 @@ TEST(LimbArena, BudgetExhaustionThrowsBeforeMutationAndRecovers)
                  camp::ResourceExhausted);
     // The failed request mutated nothing.
     const support::ArenaStats after = arena.stats();
-    EXPECT_EQ(after.slab_bytes, before.slab_bytes);
+    EXPECT_EQ(after.held_bytes, before.held_bytes);
     EXPECT_EQ(after.live_bytes, before.live_bytes);
     // Freed capacity is immediately reusable within the same budget.
     arena.release(big, std::size_t{1} << 17);
@@ -195,21 +209,6 @@ TEST(LimbArena, HighWaterTracksPeakLiveBytes)
     EXPECT_EQ(after.high_water_bytes, peak.high_water_bytes);
 }
 
-TEST(LimbArena, FlushThreadCacheSpillsMagazines)
-{
-    LimbArena arena;
-    std::uint64_t* p = arena.alloc(8);
-    arena.release(p, 8);
-    arena.flush_thread_cache();
-    // After the spill the next alloc is a depot hit, not a magazine
-    // hit.
-    const std::uint64_t magazine_before = arena.stats().magazine_hits;
-    std::uint64_t* q = arena.alloc(8);
-    EXPECT_EQ(arena.stats().magazine_hits, magazine_before);
-    EXPECT_GE(arena.stats().depot_hits, 1u);
-    arena.release(q, 8);
-}
-
 TEST(LimbArena, GlobalArenaPublishesMetrics)
 {
     const std::uint64_t before =
@@ -218,6 +217,23 @@ TEST(LimbArena, GlobalArenaPublishesMetrics)
     LimbArena::global().release(p, 32);
     EXPECT_GE(metrics::counter("arena.alloc.count").value(),
               before + 1);
+}
+
+TEST(LimbArena, MaxBytesEnvRejectsJunkEmptyAndOverflow)
+{
+    const auto parse = [] { support::arena_options_from_env(); };
+    // The private parser this replaced read "64MB" as 64 and wrapped
+    // values past 2^64.
+    expect_env_rejects("CAMP_ARENA_MAX_BYTES",
+                       {"abc", "64MB", "1e6", "", "-3", " 7x",
+                        "123456789012345678901234567890"},
+                       parse);
+    {
+        const ScopedEnv zero("CAMP_ARENA_MAX_BYTES", "0");
+        EXPECT_EQ(support::arena_options_from_env().max_bytes, 0u);
+    }
+    const ScopedEnv ok("CAMP_ARENA_MAX_BYTES", "1048576");
+    EXPECT_EQ(support::arena_options_from_env().max_bytes, 1048576u);
 }
 
 // ---------------------------------------------------------------------

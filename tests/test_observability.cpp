@@ -1,7 +1,8 @@
 /**
  * @file
  * Observability-layer tests: trace ring semantics (disabled/inert
- * spans, wrap-around, thread attribution, Chrome-JSON export) and the
+ * spans, wrap-around, thread attribution, Chrome-JSON export, the
+ * CAMP_TRACE_BUF parse) and the
  * metrics registry (stable references, counter/gauge/histogram
  * behavior cross-checked against a local model over >= 1000 randomized
  * operations, snapshot/table/json rendering, reset).
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "fuzz_seed.hpp"
+#include "scoped_env.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/trace.hpp"
@@ -133,6 +135,17 @@ TEST(Trace, SpanDurationCoversEnclosedWork)
     ASSERT_NE(dur_at, std::string::npos);
     // ts/dur are microseconds; 5 ms of sleep is at least 4000 us.
     EXPECT_GE(std::strtod(text.c_str() + dur_at + 7, nullptr), 4000.0);
+}
+
+TEST(Trace, BufferEnvRejectsJunkEmptyAndOverflow)
+{
+    // The parse behind the ring's size. It used to ignore junk and read
+    // "1e9" as 1.
+    const auto parse = [] { trace::capacity_from_env(); };
+    expect_env_rejects("CAMP_TRACE_BUF", kJunkValues, parse);
+    expect_env_rejects("CAMP_TRACE_BUF", {"1e9", "64k", "0x100"}, parse);
+    const ScopedEnv ok("CAMP_TRACE_BUF", "4096");
+    EXPECT_EQ(trace::capacity_from_env(), 4096u);
 }
 
 TEST(Trace, RingWrapKeepsMostRecentCapacityEvents)

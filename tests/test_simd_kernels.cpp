@@ -8,8 +8,8 @@
  * mul_1 / addmul_1 / submul_1 (scalar loops with no table slot) are
  * checked against a radix-2^32 reference written here. A second
  * layer asserts the hard bit-identity invariant end to end: full
- * mpn_mul, the SoA batch driver, and Device::mul_batch produce
- * identical bits under every CAMP_SIMD tier the host supports.
+ * mpn_mul and Device::mul_batch produce identical bits under every
+ * CAMP_SIMD tier the host supports.
  */
 #include <gtest/gtest.h>
 
@@ -23,10 +23,8 @@
 #include "mpn/basic.hpp"
 #include "mpn/kernels/internal.hpp"
 #include "mpn/kernels/kernels.hpp"
-#include "mpn/kernels/soa.hpp"
 #include "mpn/mul.hpp"
 #include "mpn/natural.hpp"
-#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace mpn = camp::mpn;
@@ -354,48 +352,6 @@ TEST(SimdKernels, MulBasecaseDifferentialFuzz)
             ASSERT_EQ(want, got) << set.name << " an=" << an
                                  << " bn=" << bn << " iter=" << iter;
         }
-    }
-}
-
-TEST(SimdKernels, SoaVerticalMatchesPerProduct)
-{
-    if (kernels::active().soa_width == 0)
-        GTEST_SKIP() << "active tier has no SoA kernel";
-    Rng rng(fuzz_seed(0x51D0007));
-    for (int iter = 0; iter < 60; ++iter) {
-        const std::size_t count = 1 + rng.below(40);
-        std::vector<std::pair<Natural, Natural>> pairs;
-        for (std::size_t i = 0; i < count; ++i) {
-            // Mixed shapes: same-shape runs (SoA groups), odd shapes
-            // (remainders), zeros and oversize pairs (fallback).
-            const std::uint64_t mode = rng.below(5);
-            std::uint64_t bits_a = 2048, bits_b = 2048;
-            if (mode == 1)
-                bits_a = bits_b = 64 + rng.below(1024);
-            else if (mode == 2) {
-                bits_a = 1 + rng.below(4096);
-                bits_b = 1 + rng.below(4096);
-            } else if (mode == 3)
-                bits_a = 0;
-            else if (mode == 4)
-                bits_a = kernels::kSoaMaxLimbs * 64 + 512;
-            pairs.emplace_back(
-                bits_a ? Natural::random_bits(rng, bits_a) : Natural(),
-                bits_b ? Natural::random_bits(rng, bits_b) : Natural());
-        }
-        std::vector<Natural> got(count);
-        camp::support::metrics::Counter& allocs =
-            camp::support::metrics::counter("mpn.alloc.count");
-        const std::uint64_t before = allocs.value();
-        kernels::soa_mul_batch(pairs.data(), count, got.data());
-        // One counted product buffer per nonzero pair, like operator*.
-        std::uint64_t nonzero = 0;
-        for (const auto& [a, b] : pairs)
-            nonzero += !a.is_zero() && !b.is_zero();
-        EXPECT_EQ(allocs.value() - before, nonzero) << "iter=" << iter;
-        for (std::size_t i = 0; i < count; ++i)
-            ASSERT_EQ(got[i], pairs[i].first * pairs[i].second)
-                << "iter=" << iter << " i=" << i;
     }
 }
 

@@ -4,7 +4,7 @@
  * TaskGroup and wait without deadlock, because wait() helps), exception
  * propagation across the join, work stealing under multi-submitter
  * contention, the serial inline path, the TLS scratch arena's LIFO
- * frame discipline, and SerialGuard.
+ * frame discipline, SerialGuard, and the CAMP_THREADS parse.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "scoped_env.hpp"
 #include "support/thread_pool.hpp"
 
 using namespace camp::support;
@@ -24,6 +25,17 @@ TEST(ThreadPool, EnvAndHardwareCountsSane)
     ThreadPool& pool = ThreadPool::global();
     EXPECT_EQ(pool.executors(), pool.workers() + 1);
     EXPECT_EQ(pool.parallel(), pool.workers() > 0);
+}
+
+TEST(ThreadPool, ThreadsEnvRejectsJunkEmptyAndOverflow)
+{
+    // The parse the cached env_thread_count() runs once. It used to
+    // read junk, 0 and "4x" as "all cores" or 4.
+    const auto parse = [] { thread_count_from_env(); };
+    expect_env_rejects("CAMP_THREADS", kJunkValues, parse);
+    expect_env_rejects("CAMP_THREADS", {"4x", "4.5", "4294967296"}, parse);
+    const ScopedEnv ok("CAMP_THREADS", "3");
+    EXPECT_EQ(thread_count_from_env(), 3u);
 }
 
 TEST(ThreadPool, SerialPoolRunsInlineOnCaller)
